@@ -38,6 +38,7 @@ from .hooks import (
     catalan_product,
     color_classes,
     count_preimages,
+    count_preimages_vhc,
     descent_tops,
     enumerate_vhc,
     in_order_preimages,
@@ -76,6 +77,7 @@ from .trees import (
 from .words import (
     ContentVector,
     DomainError,
+    InvariantError,
     Pattern,
     SizeLimitError,
     Word,

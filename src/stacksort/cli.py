@@ -3,8 +3,8 @@
 Every operation of the library is reachable from here with machine-readable
 output (--format json; count tables also speak csv).  Words are given as
 digit strings when all letters fit in one digit, otherwise space or comma
-separated.  Exit codes: 0 success, 1 domain error, 2 size-limit refusal or
-usage error.
+separated.  Exit codes: 0 success, 1 domain error, 2 size-limit refusal,
+usage error or unreadable cache file.
 """
 
 from __future__ import annotations
@@ -25,6 +25,17 @@ def _variant(name: str) -> SortVariant:
     return SortVariant(name)
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "integer"  # argparse names the type in its error message
+    return parse
+
+
 def _add_word(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("word", help="the input word, e.g. 3662451 or '3 5 7 10 10 2 4 6 8 9 1'")
 
@@ -36,10 +47,12 @@ def build_parser() -> argparse.ArgumentParser:
         "preimage counting, sortable-word enumeration, and search experiments.",
     )
     parser.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
-    parser.add_argument("--parallel", type=int, default=1, metavar="N",
-                        help="worker processes for the search experiments (default 1)")
+    parser.add_argument("--parallel", type=_int_at_least(1), default=1, metavar="N",
+                        help="worker processes for the search experiments (default 1, "
+                        "at most the number of CPUs)")
     parser.add_argument("--limit", type=int, default=hooks.MAX_VHC_LEN, metavar="LEN",
-                        help="maximum word length for configuration enumeration")
+                        help="maximum word length for configuration enumeration and "
+                        "preimage listing (the dp count has no cap)")
     parser.add_argument("--space-limit", type=int, default=hooks.MAX_SPACE, metavar="SIZE",
                         help="maximum content-class size for brute-force passes")
     parser.add_argument("--cache", metavar="PATH", default=os.environ.get(CACHE_ENV),
@@ -49,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sort", help="apply an operator, optionally tracing the chain")
     _add_word(p)
     p.add_argument("--map", choices=("fast", "slow"), required=True)
-    p.add_argument("--steps", type=int, default=1)
+    p.add_argument("--steps", type=_int_at_least(0), default=1)
     p.add_argument("--trace", action="store_true")
 
     p = sub.add_parser("distance", help="iterations to reach the identity, both operators")
@@ -58,7 +71,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preimages", help="count or list the preimages of a word")
     _add_word(p)
     p.add_argument("--map", choices=("fast", "slow"), required=True)
-    p.add_argument("--method", choices=("vhc", "brute", "trees"), default="vhc")
+    p.add_argument("--method", choices=("dp", "vhc", "brute", "trees"), default="dp",
+                   help="dp: interval DP over trees (default, no length cap); vhc: the "
+                   "hook-configuration sum; brute: exhaust the content class; trees: "
+                   "count the reconstructed preimages")
     p.add_argument("--list", action="store_true", dest="list_words")
 
     p = sub.add_parser("vhc", help="enumerate valid hook configurations")
@@ -141,8 +157,11 @@ def _cmd_preimages(args) -> None:
     w = words.parse_word(args.word)
     variant = _variant(args.map)
     preimage_list: list[tuple[int, ...]] | None = None
-    if args.method == "vhc":
-        count = hooks.count_preimages(w, variant, limit=args.limit)
+    if args.method in ("dp", "vhc"):
+        if args.method == "dp":
+            count = hooks.count_preimages(w, variant)
+        else:
+            count = hooks.count_preimages_vhc(w, variant, limit=args.limit)
         if args.list_words:
             preimage_list = sorted(
                 hooks.in_order_preimages(w, variant, limit=args.limit)
@@ -319,10 +338,21 @@ _HANDLERS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """Parse the command line; --parallel is clamped to the number of CPUs."""
     args = build_parser().parse_args(argv)
+    args.parallel = min(args.parallel, os.cpu_count() or 1)
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = parse_args(argv)
     if args.cache and os.path.exists(args.cache):
-        counting.load_memo(args.cache)
+        try:
+            counting.load_memo(args.cache)
+        except (OSError, ValueError) as exc:
+            print(f"error: cannot load cache file {args.cache}: {exc}", file=sys.stderr)
+            return 2
     try:
         _HANDLERS[args.command](args)
     except words.SizeLimitError as exc:

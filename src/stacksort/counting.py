@@ -19,6 +19,7 @@ from .sorting import SortVariant, sort_via_stack
 from .words import (
     ContentVector,
     DomainError,
+    InvariantError,
     Pattern,
     SizeLimitError,
     Word,
@@ -95,8 +96,10 @@ def fuss_catalan(ell: int, n: int) -> int:
     if ell < 1 or n < 0:
         raise DomainError("fuss_catalan needs ell >= 1 and n >= 0")
     numerator = comb((ell + 1) * n, n)
-    assert numerator % (ell * n + 1) == 0
-    return numerator // (ell * n + 1)
+    quotient, remainder = divmod(numerator, ell * n + 1)
+    if remainder:
+        raise InvariantError(f"C({(ell + 1) * n}, {n}) is not divisible by {ell * n + 1}")
+    return quotient
 
 
 @dataclass(frozen=True)
@@ -199,12 +202,33 @@ def save_memo(path: str) -> None:
 
 
 def load_memo(path: str) -> None:
+    """Merge a `save_memo` file into the memo tables.
+
+    A file that is not in that format raises ValueError (json.JSONDecodeError
+    for bad JSON) and leaves the tables untouched.
+    """
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("expected a JSON object with 'fast' and 'slow' tables")
+    staged = []
     for key, table in (("fast", _fast_memo), ("slow", _slow_memo)):
-        for text, value in data.get(key, {}).items():
-            entry = tuple(int(t) for t in text.split(",") if t)
-            table[entry] = int(value)
+        entries = data.get(key, {})
+        if not isinstance(entries, dict):
+            raise ValueError(f"the {key!r} table is not a JSON object")
+        parsed = {}
+        for text, value in entries.items():
+            try:
+                entry = tuple(int(t) for t in text.split(",") if t)
+                count = int(value)
+            except (TypeError, ValueError):
+                raise ValueError(f"bad {key!r} entry {text!r}: {value!r}") from None
+            if any(k < 0 for k in entry) or count < 0:
+                raise ValueError(f"bad {key!r} entry {text!r}: {value!r}")
+            parsed[entry] = count
+        staged.append((table, parsed))
+    for table, parsed in staged:
+        table.update(parsed)
 
 
 def clear_memo() -> None:

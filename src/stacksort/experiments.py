@@ -21,7 +21,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import get_context
 
-from .hooks import brute_preimages, build_preimage_trees, count_preimages, enumerate_vhc, filter_for
+from .hooks import (
+    brute_preimages,
+    build_preimage_trees,
+    count_preimages_vhc,
+    enumerate_vhc,
+    filter_for,
+)
 from .sorting import SortVariant, fertility_witness
 from .words import (
     SizeLimitError,
@@ -235,7 +241,7 @@ def fertility_demo(m: int, brute_limit: int = 4, vhc_limit: int = 12) -> dict:
         per_variant = {}
         for variant in SortVariant:
             counts: dict[str, int | None] = {
-                "vhc": count_preimages(word, variant, limit=vhc_limit),
+                "vhc": count_preimages_vhc(word, variant, limit=vhc_limit),
                 "trees": sum(
                     1
                     for config in enumerate_vhc(word, filter_for(variant), limit=vhc_limit)

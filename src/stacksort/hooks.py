@@ -24,6 +24,13 @@ exactly.  `build_preimage_trees` upgrades the count to a bijection: it
 reconstructs, per configuration, the actual trees whose postorder is w, whose
 in-order readings are the preimages themselves.
 
+The production count, `count_preimages`, enumerates no configurations: it is
+an O(m^3) interval DP over those same trees (preimages of w correspond one to
+one with the trees of the operator's class whose postorder is w), with no
+length cap.  The configuration sum stays as `count_preimages_vhc`, the theorem
+the acceptance gate checks the DP against; listing (`in_order_preimages`)
+still runs through the configurations and `build_preimage_trees`.
+
 Enumeration is depth-first over the indices, deciding at each index whether
 it starts a hook and where the hook ends, pruning on interval crossings,
 points that would be passed strictly below, and condition-3 obligations that
@@ -37,12 +44,14 @@ from enum import Enum
 from functools import lru_cache
 from itertools import product
 from math import comb
+from operator import mul
 from typing import Iterator
 
 from .sorting import SortVariant, sort_via_stack
 from .trees import PlaneTree, in_order
 from .words import (
     DomainError,
+    InvariantError,
     SizeLimitError,
     Word,
     content,
@@ -304,8 +313,56 @@ def config_to_dict(w: Word, config: HookConfig) -> dict:
 # Counting and reconstructing preimages
 
 
-def count_preimages(w: Word, variant: SortVariant, limit: int = MAX_VHC_LEN) -> int:
-    """Number of words u with sort(u) = w, via the hook-configuration sum."""
+def count_preimages(w: Word, variant: SortVariant, limit: int | None = None) -> int:
+    """Number of words u with sort(u) = w, by an interval DP over trees.
+
+    Preimages of w correspond one to one with the trees of the operator's
+    class whose postorder is w (see `trees`).  C[i][j] counts those trees on
+    the slice w[i:j]: the root is w[j-1], the left subtree reads w[i:k] and
+    the right subtree w[k:j-1], so C[i][j] = sum_k C[i][k] * C[k][j-1] over
+    the k whose nonempty subtree roots (their last letters) are at most the
+    root, strictly on the left for the fast operator (class R) and on the
+    right for the slow one (class L).  O(m^3) time with no length cap; a
+    `limit`, when given, refuses longer words.
+    """
+    m = len(w)
+    if limit is not None and m > limit:
+        raise SizeLimitError(f"word length {m} exceeds limit {limit}")
+    if m == 0:
+        return 1
+    if w[-1] != max(w):
+        return 0  # every root carries the largest label of its tree
+    fast = variant is SortVariant.FAST
+    table = [[0] * (m + 1) for _ in range(m + 1)]  # table[i][j] = C[i][j]
+    for i in range(m + 1):
+        table[i][i] = 1
+    for j in range(1, m + 1):
+        root = w[j - 1]
+        # left[k] = C[k][j-1] where w[k-1] may root the left subtree w[i:k], else 0
+        left = [0] * j
+        for k in range(1, j):
+            x = w[k - 1]
+            if x < root or (x == root and not fast):
+                left[k] = table[k][j - 1]
+        y = w[j - 2] if j > 1 else root
+        right_allowed = y < root or (y == root and fast)
+        table[j - 1][j] = 1
+        for i in range(j - 1):
+            row = table[i]
+            if right_allowed:
+                # k = i: empty left subtree; k > i: both sides nonempty or empty right
+                row[j] = row[j - 1] + sum(map(mul, row[i + 1:j], left[i + 1:j]))
+            else:
+                row[j] = row[j - 1] * left[j - 1]  # only k = j-1: empty right subtree
+    return table[0][m]
+
+
+def count_preimages_vhc(w: Word, variant: SortVariant, limit: int = MAX_VHC_LEN) -> int:
+    """Number of words u with sort(u) = w, via the hook-configuration sum.
+
+    The paper's theorem, exponential in the length: kept as the reference
+    that the acceptance gate checks `count_preimages` against.
+    """
     total = 0
     for config in enumerate_vhc(w, filter_for(variant), limit):
         pairs = [(h.sw[0], h.ne[0]) for h in config]
@@ -368,6 +425,42 @@ def _label_shape(shape, labels: list[int]) -> PlaneTree | None:
     return walk(shape)
 
 
+@lru_cache(maxsize=None)
+def _shape_parents(n: int) -> tuple[tuple[int, ...], ...]:
+    """Parent links of every shape on n nodes, in `_shapes` order.
+
+    Nodes are named by their postorder index t; entry t of a shape's row is
+    2 * (parent's postorder index) + side (0 left, 1 right), or -1 at the root.
+    A shape on n nodes is a left shape on a nodes (indices 0..a-1), a right
+    shape shifted to a..n-2, and the root n-1 above both subroots.
+    """
+    if n == 0:
+        return ((),)
+    root = 2 * (n - 1)
+    rows = []
+    for a in range(n):
+        lefts = [tuple(root if c < 0 else c for c in row) for row in _shape_parents(a)]
+        rights = [
+            tuple(root + 1 if c < 0 else c + 2 * a for c in row)
+            for row in _shape_parents(n - 1 - a)
+        ]
+        for left in lefts:
+            for right in rights:
+                rows.append(left + right + (-1,))
+    return tuple(rows)
+
+
+def _class_heights(w: Word, classes: list[list[int]]) -> list[list[int]]:
+    """Heights per color class, checking that they strictly increase (a theorem)."""
+    out = []
+    for positions in classes:
+        heights = [w[p - 1] for p in positions]
+        if any(a >= b for a, b in zip(heights, heights[1:])):
+            raise InvariantError(f"class heights not increasing: {heights}")
+        out.append(heights)
+    return out
+
+
 def spawn_tuples(
     w: Word, config: HookConfig
 ) -> Iterator[tuple[PlaneTree | None, ...]]:
@@ -377,41 +470,12 @@ def spawn_tuples(
     class heights so that the postorder reads in increasing order; the tuple
     count is the Catalan product of the induced composition.
     """
-    pairs = _require_valid(w, config)
-    classes = _class_positions(w, pairs)
-    per_class = []
-    for positions in classes:
-        heights = [w[p - 1] for p in positions]
-        # Within a class, heights strictly increase with position.
-        assert heights == sorted(set(heights)), f"class heights not increasing: {heights}"
-        per_class.append([_label_shape(s, heights) for s in _shapes(len(heights))])
+    classes = _class_positions(w, _require_valid(w, config))
+    per_class = [
+        [_label_shape(s, heights) for s in _shapes(len(heights))]
+        for heights in _class_heights(w, classes)
+    ]
     yield from product(*per_class)
-
-
-class _Node:
-    __slots__ = ("label", "left", "right")
-
-    def __init__(self, label: int):
-        self.label = label
-        self.left: _Node | None = None
-        self.right: _Node | None = None
-
-
-def _freeze(node: _Node | None) -> PlaneTree | None:
-    if node is None:
-        return None
-    return PlaneTree(node.label, _freeze(node.left), _freeze(node.right))
-
-
-def _swing_equal_right_children(node: _Node | None) -> None:
-    """Move right children equal to their parent to the left (they are only children)."""
-    if node is None:
-        return
-    _swing_equal_right_children(node.left)
-    _swing_equal_right_children(node.right)
-    if node.right is not None and node.right.label == node.label:
-        assert node.left is None, "equal right child should be an only child"
-        node.left, node.right = node.right, None
 
 
 def build_preimage_trees(
@@ -437,68 +501,60 @@ def build_preimage_trees(
 
     pairs = [(h.sw[0], h.ne[0]) for h in config]
     classes = _class_positions(w, pairs)
+    _class_heights(w, classes)
     sw_to_ne = dict(pairs)
-    class_of: dict[int, int] = {}
-    pred_in_class: dict[int, int] = {}
-    position_of_height: list[dict[int, int]] = []
+    place: dict[int, tuple[int, int]] = {}  # position -> (class, index in class)
     for r, positions in enumerate(classes):
-        by_height: dict[int, int] = {}
         for t, p in enumerate(positions):
-            class_of[p] = r
-            if t:
-                pred_in_class[p] = positions[t - 1]
-            by_height[w[p - 1]] = p
-        position_of_height.append(by_height)
+            place[p] = (r, t)
+    # Where each point p = m-1, ..., 1 hangs: a southwest endpoint under its
+    # hook's northeast endpoint (r = -1); any other point wherever the tree of
+    # class r hangs the class predecessor (index t) of the next point p + 1.
+    steps = []
+    for pos in range(m - 1, 0, -1):
+        if pos in sw_to_ne:
+            steps.append((pos, -1, sw_to_ne[pos]))
+            continue
+        r, t = place[pos + 1]
+        if t == 0:
+            raise InvariantError(f"no earlier point shares color with {pos + 1}")
+        steps.append((pos, r, t - 1))
 
-    for spawned in spawn_tuples(w, config):
-        parent_sides: list[dict[int, tuple[int, str]]] = []
-        for tree in spawned:
-            sides: dict[int, tuple[int, str]] = {}
-            stack = [tree]
-            while stack:
-                node = stack.pop()
-                if node is None:
-                    continue
-                if node.left is not None:
-                    sides[node.left.label] = (node.label, "L")
-                    stack.append(node.left)
-                if node.right is not None:
-                    sides[node.right.label] = (node.label, "R")
-                    stack.append(node.right)
-            parent_sides.append(sides)
-
-        nodes = [_Node(x) for x in w]  # nodes[p - 1] carries the p-th letter
-
-        def attach(child: _Node, target: _Node, side: str) -> None:
-            if side == "L":
-                assert target.left is None, "left slot already taken"
-                target.left = child
-            else:
-                assert target.right is None, "right slot already taken"
-                target.right = child
-
-        for pos in range(m - 1, 0, -1):
-            leaf = nodes[pos - 1]
-            if pos in sw_to_ne:
-                target = nodes[sw_to_ne[pos] - 1]
+    for rows in product(*(_shape_parents(len(positions)) for positions in classes)):
+        # kids[side][p]: position of p's left (0) or right (1) child, 0 for none
+        kids = ([0] * (m + 1), [0] * (m + 1))
+        left, right = kids
+        for pos, r, arg in steps:
+            if r < 0:
+                target = arg
                 # Hook attachments fill the right slot first.
-                if target.right is None:
-                    assert target.left is None, "hook target has a dangling left child"
-                    attach(leaf, target, "R")
+                if right[target]:
+                    side = 0
+                elif left[target]:
+                    raise InvariantError("hook target has a dangling left child")
                 else:
-                    attach(leaf, target, "L")
+                    side = 1
             else:
-                r = class_of[pos + 1]
-                u = pred_in_class.get(pos + 1)
-                assert u is not None, f"no earlier point shares color with {pos + 1}"
-                parent = parent_sides[r].get(w[u - 1])
-                assert parent is not None, f"class-{r} tree gives {w[u - 1]} no parent"
-                height, side = parent
-                v = position_of_height[r][height]
-                assert v >= pos + 1, "attachment target should not be placed yet"
-                attach(leaf, nodes[v - 1], side)
-
-        root = nodes[m - 1]
+                code = rows[r][arg]
+                if code < 0:
+                    raise InvariantError(
+                        f"class-{r} tree gives {w[classes[r][arg] - 1]} no parent")
+                parent, side = divmod(code, 2)
+                target = classes[r][parent]
+                if target <= pos:
+                    raise InvariantError("attachment target should not be placed yet")
+            if kids[side][target]:
+                raise InvariantError(f"{('left', 'right')[side]} slot already taken")
+            kids[side][target] = pos
         if variant is SortVariant.SLOW:
-            _swing_equal_right_children(root)
-        yield _freeze(root)
+            # Equal-label right children swing to the left (they are only children).
+            for p in range(1, m + 1):
+                if right[p] and w[right[p] - 1] == w[p - 1]:
+                    if left[p]:
+                        raise InvariantError("equal right child should be an only child")
+                    left[p], right[p] = right[p], 0
+        # Children precede their parent in postorder, so build by position.
+        built: list[PlaneTree | None] = [None] * (m + 1)
+        for p in range(1, m + 1):
+            built[p] = PlaneTree(w[p - 1], built[left[p]], built[right[p]])
+        yield built[m]

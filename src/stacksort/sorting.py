@@ -20,6 +20,7 @@ from enum import Enum
 from .words import (
     ContentVector,
     DomainError,
+    InvariantError,
     Word,
     content,
     identity,
@@ -184,8 +185,8 @@ def distance(w: Word, variant: SortVariant) -> int:
     while cur != target:
         cur = sort_via_stack(cur, variant)
         k += 1
-        # Termination within the bound is a theorem; tripping this is a bug.
-        assert k <= bound + 1, f"sorting {w} exceeded the distance bound {bound}"
+        if k > bound:  # termination within the bound is a theorem
+            raise InvariantError(f"sorting {w} exceeded the distance bound {bound}")
     return k
 
 

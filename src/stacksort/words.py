@@ -36,6 +36,13 @@ class SizeLimitError(RuntimeError):
     """Requested search space exceeds the configured size limit."""
 
 
+class InvariantError(AssertionError):
+    """A proven invariant failed: a bug in the package, not bad input.
+
+    Raised explicitly (never by `assert`), so the checks survive `python -O`.
+    """
+
+
 def check_word(w: Word) -> Word:
     """Validate that every letter is a positive integer; returns w unchanged."""
     for x in w:

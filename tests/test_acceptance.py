@@ -21,11 +21,13 @@ from stacksort import (
     SortVariant,
     brute_count_avoiders,
     brute_preimages,
+    catalan,
     catalan_product,
     collapse_letters,
     content,
     count_fast_sortable,
     count_preimages,
+    count_preimages_vhc,
     count_slow_sortable,
     distance_bound,
     distance_census,
@@ -80,24 +82,29 @@ def census():
     return lambda m: distance_census(m, parallelism=WORKERS)
 
 
+@pytest.fixture(scope="module")
+def brute():
+    """brute_preimages, memoized so criteria 1, 2 and 11 exhaust each class once."""
+    return functools.lru_cache(maxsize=None)(brute_preimages)
+
+
 @criterion(1, "hook-configuration counts equal brute-force preimage counts, length <= 6")
-def test_criterion_1_oracle_equivalence(normalized):
+def test_criterion_1_oracle_equivalence(normalized, brute):
     words = [w for m in range(1, 7) for w in normalized(m)]
     assert len(words) == 5316
     for w in words:
         for variant in (FAST, SLOW):
-            assert count_preimages(w, variant) == len(brute_preimages(w, variant)), (
-                w, variant)
+            assert count_preimages_vhc(w, variant) == len(brute(w, variant)), (w, variant)
 
 
 @criterion(2, "reconstructed trees reproduce the preimage sets exactly, length <= 6")
-def test_criterion_2_bijection_reconstruction(normalized):
+def test_criterion_2_bijection_reconstruction(normalized, brute):
     for m in range(1, 7):
         for w in normalized(m):
             for variant in (FAST, SLOW):
                 read = in_order_preimages(w, variant)
                 assert len(read) == len(set(read)), (w, variant)
-                assert set(read) == set(brute_preimages(w, variant)), (w, variant)
+                assert set(read) == set(brute(w, variant)), (w, variant)
 
 
 @criterion(3, "exceptional censuses: lengths 7, 8, 9 and the gap-2 count")
@@ -142,13 +149,14 @@ def _distance(w, variant):
     return steps
 
 
-@criterion(5, "fertility witnesses have 2m and 2m+1 preimages by all three methods, m <= 4")
+@criterion(5, "fertility witnesses have 2m and 2m+1 preimages by every method, m <= 4")
 def test_criterion_5_fertility_demo():
     for m in range(1, 5):
         for extra_one, expected in ((False, 2 * m), (True, 2 * m + 1)):
             w = fertility_witness(m, extra_one)
             for variant in (FAST, SLOW):
                 assert count_preimages(w, variant) == expected, (w, variant)
+                assert count_preimages_vhc(w, variant) == expected, (w, variant)
                 read = in_order_preimages(w, variant)
                 brute = set(brute_preimages(w, variant))
                 assert len(read) == len(set(read)) == expected
@@ -247,3 +255,23 @@ def test_criterion_10_property_suites(normalized):
     # length 6: per-configuration checks without the subset cross-product
     for w in normalized(6):
         check_coloring_properties(w)
+
+
+@criterion(11, "DP preimage counts equal brute force and the VHC sum, length <= 6; "
+               "Catalan and fertility values far beyond the VHC cap")
+def test_criterion_11_dp_preimage_counts(normalized, brute):
+    words = [w for m in range(1, 7) for w in normalized(m)]
+    assert len(words) == 5316
+    for w in words:
+        for variant in (FAST, SLOW):
+            dp = count_preimages(w, variant)
+            assert dp == len(brute(w, variant)) == count_preimages_vhc(w, variant), (
+                w, variant)
+    for m in range(0, 41):
+        for variant in (FAST, SLOW):
+            assert count_preimages(tuple(range(1, m + 1)), variant) == catalan(m), (m, variant)
+    for m in range(1, 31):
+        for extra_one, expected in ((False, 2 * m), (True, 2 * m + 1)):
+            w = fertility_witness(m, extra_one)
+            for variant in (FAST, SLOW):
+                assert count_preimages(w, variant) == expected, (w, variant)

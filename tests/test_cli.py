@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from stacksort import parse_word
+from stacksort import catalan, cli, counting, parse_word
 from stacksort.cli import main
 
 
@@ -33,6 +33,23 @@ def test_sort_spaced_word_with_large_letters(capsys):
     assert code == 0 and out.strip() == "1 2 3 4 5 6 7 8 9 10 10"
 
 
+def test_sort_negative_steps_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sort", "21", "--map", "fast", "--steps", "-3"])
+    assert exc.value.code == 2
+    assert "--steps" in capsys.readouterr().err
+
+
+def test_parallel_clamped_to_cpu_count(monkeypatch):
+    # parsing only: no worker pool is started
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert cli.parse_args(["--parallel", "100000", "distance", "21"]).parallel == 2
+    assert cli.parse_args(["--parallel", "1", "distance", "21"]).parallel == 1
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(["--parallel", "0", "distance", "21"])
+    assert exc.value.code == 2
+
+
 def test_distance(capsys):
     code, out, _ = run(capsys, "distance", "3662451")
     assert code == 0 and out.strip() == "fast=4 slow=3 gap=1"
@@ -47,11 +64,22 @@ def test_distance_json(capsys):
 
 def test_preimages_methods_agree(capsys):
     counts = {}
-    for method in ("vhc", "brute", "trees"):
+    for method in ("dp", "vhc", "brute", "trees"):
         code, out, _ = run(capsys, "preimages", "3211456", "--map", "fast", "--method", method)
         assert code == 0
         counts[method] = int(out.split()[0])
-    assert counts == {"vhc": 7, "brute": 7, "trees": 7}
+    assert counts == {"dp": 7, "vhc": 7, "brute": 7, "trees": 7}
+
+
+def test_preimages_dp_default_has_no_length_cap(capsys):
+    word = " ".join(str(k) for k in range(1, 21))
+    code, out, _ = run(capsys, "preimages", word, "--map", "slow")
+    assert code == 0 and int(out) == catalan(20)
+    # --limit bounds configuration enumeration and listing only
+    code, _, err = run(capsys, "preimages", word, "--map", "slow", "--method", "vhc")
+    assert code == 2 and "exceeds" in err
+    code, _, err = run(capsys, "preimages", word, "--map", "slow", "--list")
+    assert code == 2 and "exceeds" in err
 
 
 def test_preimages_list_json_roundtrip(capsys):
@@ -161,3 +189,15 @@ def test_cache_roundtrip(tmp_path, capsys):
     assert code == 0 and cache.exists()
     code, out2, _ = run(capsys, "--cache", str(cache), "count-sortable", "--map", "slow", "3", "2", "4")
     assert code == 0 and out1 == out2
+
+
+@pytest.mark.parametrize("text", ['{"fast": {"2,2": ', "[1, 2]", '{"slow": {"2,2": "x"}}',
+                                  '{"fast": []}'])
+def test_corrupt_cache_is_refused(tmp_path, capsys, text):
+    cache = tmp_path / "memo.json"
+    cache.write_text(text, encoding="utf-8")
+    before = dict(counting._slow_memo)
+    code, out, err = run(capsys, "--cache", str(cache), "count-sortable", "--map", "slow", "2", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert counting._slow_memo == before

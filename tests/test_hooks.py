@@ -16,6 +16,7 @@ from stacksort import (
     catalan_product,
     color_classes,
     count_preimages,
+    count_preimages_vhc,
     descent_tops,
     enumerate_vhc,
     in_class,
@@ -28,7 +29,7 @@ from stacksort import (
     postorder,
     spawn_tuples,
 )
-from stacksort.hooks import config_to_dict, filter_for
+from stacksort.hooks import _label_shape, _shape_parents, _shapes, config_to_dict, filter_for
 
 FAST, SLOW = SortVariant.FAST, SortVariant.SLOW
 
@@ -75,6 +76,10 @@ def test_empty_and_singleton_words():
     assert count_preimages((1,), FAST) == 1
     assert count_preimages((2, 1), FAST) == 0
     assert count_preimages((2, 1), SLOW) == 0
+    for variant in SortVariant:
+        assert count_preimages_vhc((), variant) == 1
+        assert count_preimages_vhc((1,), variant) == 1
+        assert count_preimages_vhc((2, 1), variant) == 0
 
 
 def test_configs_of_212():
@@ -250,6 +255,35 @@ def test_brute_preimages_of_identity_are_avoiders():
 def test_brute_preimages_limit():
     with pytest.raises(SizeLimitError):
         brute_preimages(tuple(range(1, 12)), FAST, space_limit=1000)
+
+
+def test_count_limits():
+    w = tuple(range(1, 14))
+    assert count_preimages(w, FAST) == count_preimages(w, SLOW) == catalan(13)
+    assert count_preimages(w, SLOW, limit=13) == catalan(13)
+    with pytest.raises(SizeLimitError):
+        count_preimages(w, SLOW, limit=12)
+    with pytest.raises(SizeLimitError):
+        count_preimages_vhc(w, SLOW)
+
+
+def test_shape_parent_tables_follow_shapes():
+    # row t of each table names the parent of postorder node t in the labeled shape
+    for n in range(0, 7):
+        rows = _shape_parents(n)
+        assert len(rows) == len(_shapes(n)) == catalan(n)
+        for shape, row in zip(_shapes(n), rows):
+            expected = [-1] * n
+            stack = [_label_shape(shape, list(range(n)))]
+            while stack:
+                node = stack.pop()
+                if node is None:
+                    continue
+                for side, child in enumerate((node.left, node.right)):
+                    if child is not None:
+                        expected[child.label] = 2 * node.label + side
+                        stack.append(child)
+            assert row == tuple(expected), (shape, row)
 
 
 def test_enumerate_vhc_limit():

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import stacksort
 from stacksort import (
     DomainError,
     SortVariant,
@@ -210,3 +217,24 @@ def test_sorts_preserve_content(normalized):
         for w in normalized(m):
             assert content(sort_fast(w)) == content(w)
             assert content(sort_slow(w)) == content(w)
+
+
+def test_invariant_check_survives_optimize_flag():
+    # `python -O` strips assert statements; theorem checks must raise regardless.
+    code = textwrap.dedent("""
+        import sys
+        from stacksort import InvariantError, SortVariant, sorting
+        if __debug__:
+            sys.exit("not running under -O")
+        sorting.distance_bound = lambda c, variant: 0  # a bound that (2, 1) breaks
+        try:
+            sorting.distance((2, 1), SortVariant.FAST)
+        except InvariantError:
+            sys.exit(0)
+        sys.exit("the distance bound check did not fire")
+    """)
+    src = str(Path(stacksort.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
