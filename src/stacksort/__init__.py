@@ -14,7 +14,6 @@ from .counting import (
     brute_count_avoiders,
     count_fast_sortable,
     count_slow_sortable,
-    count_t_sortable,
     fuss_catalan,
     generating_tree_level_counts,
     uniform_avoider_tree,

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable, Mapping, Sequence
 
-from .sorting import SortVariant, sort_via_stack
 from .words import (
     ContentVector,
     DomainError,
@@ -25,7 +24,6 @@ from .words import (
     Word,
     contains_pattern,
     enumerate_words,
-    identity,
     word_space_size,
 )
 
@@ -49,16 +47,18 @@ def _fast_count(c: ContentVector) -> int:
     if len(c) <= 1:
         return 1
     cached = _fast_memo.get(c)
-    if cached is not None:
-        return cached
+    if cached is None:
+        cached = _fast_memo[c] = _fast_step(c, _fast_count)
+    return cached
+
+
+def _fast_step(c: ContentVector, count: Callable[[ContentVector], int]) -> int:
+    """One step of the fast recurrence (len(c) >= 2), reading smaller values from `count`."""
     rest = c[2:]
     if c[1] == 0:
-        value = _fast_count((c[0],) + rest)
-    else:
-        value = _fast_count((c[0] + c[1],) + rest)
-        value += sum(_fast_count((r, c[1] - 1) + rest) for r in range(1, c[0] + 1))
-    _fast_memo[c] = value
-    return value
+        return count((c[0],) + rest)
+    value = count((c[0] + c[1],) + rest)
+    return value + sum(count((r, c[1] - 1) + rest) for r in range(1, c[0] + 1))
 
 
 def count_slow_sortable(c: ContentVector) -> int:
@@ -74,20 +74,23 @@ def count_slow_sortable(c: ContentVector) -> int:
 
 
 def _slow_count(c: ContentVector) -> int:
-    n = len(c)
-    if n <= 1:
+    if len(c) <= 1:
         return 1
     cached = _slow_memo.get(c)
-    if cached is not None:
-        return cached
-    head = c[:-1]
-    value = 2 * _slow_count(head)
+    if cached is None:
+        cached = _slow_memo[c] = _slow_step(c, _slow_count)
+    return cached
+
+
+def _slow_step(c: ContentVector, count: Callable[[ContentVector], int]) -> int:
+    """One step of the slow recurrence (len(c) >= 2), reading smaller values from `count`."""
+    n = len(c)
+    value = 2 * count(c[:-1])
     for i in range(1, n - 1):
-        value += _slow_count(c[:i]) * _slow_count(c[i:-1])
+        value += count(c[:i]) * count(c[i:-1])
     for i in range(1, n):
         for k in range(1, c[i - 1]):
-            value += _slow_count(c[: i - 1] + (k,)) * _slow_count((c[i - 1] - k,) + c[i:-1])
-    _slow_memo[c] = value
+            value += count(c[: i - 1] + (k,)) * count((c[i - 1] - k,) + c[i:-1])
     return value
 
 
@@ -169,25 +172,6 @@ def brute_count_avoiders(
     )
 
 
-def count_t_sortable(
-    c: ContentVector, t: int, variant: SortVariant, space_limit: int = 2_000_000
-) -> int:
-    """Count words in W_c reaching the identity within t passes, by exhaustion."""
-    if word_space_size(c) > space_limit:
-        raise SizeLimitError(f"|W_c| = {word_space_size(c)} exceeds limit {space_limit}")
-    target = identity(c)
-    count = 0
-    for w in enumerate_words(c, limit=sum(c)):
-        cur = w
-        steps = 0
-        while steps < t and cur != target:
-            cur = sort_via_stack(cur, variant)
-            steps += 1
-        if cur == target:
-            count += 1
-    return count
-
-
 # ---------------------------------------------------------------------------
 # Memo persistence (optional warm start; results never depend on it)
 
@@ -204,15 +188,16 @@ def save_memo(path: str) -> None:
 def load_memo(path: str) -> None:
     """Merge a `save_memo` file into the memo tables.
 
-    A file that is not in that format raises ValueError (json.JSONDecodeError
-    for bad JSON) and leaves the tables untouched.
+    A file that is not in that format, or whose values do not follow from the
+    recurrences, raises ValueError (json.JSONDecodeError for bad JSON) and
+    leaves the tables untouched.
     """
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object with 'fast' and 'slow' tables")
     staged = []
-    for key, table in (("fast", _fast_memo), ("slow", _slow_memo)):
+    for key, table, step in (("fast", _fast_memo, _fast_step), ("slow", _slow_memo, _slow_step)):
         entries = data.get(key, {})
         if not isinstance(entries, dict):
             raise ValueError(f"the {key!r} table is not a JSON object")
@@ -226,9 +211,32 @@ def load_memo(path: str) -> None:
             if any(k < 0 for k in entry) or count < 0:
                 raise ValueError(f"bad {key!r} entry {text!r}: {value!r}")
             parsed[entry] = count
+        _check_entries(key, parsed, table, step)
         staged.append((table, parsed))
     for table, parsed in staged:
         table.update(parsed)
+
+
+def _check_entries(key: str, parsed: dict, table: dict, step: Callable) -> None:
+    """Refuse loaded entries that do not follow from smaller ones by one recurrence step.
+
+    Smaller values come from the file itself, the in-process table or the base
+    case.  By induction on (sum, length), every accepted entry is then exact,
+    so a loaded file cannot change a result.  Checked smallest first, so the
+    error names the smallest wrong entry.
+    """
+    def count(c: ContentVector) -> int:
+        if len(c) <= 1:
+            return 1
+        value = parsed.get(c, table.get(c))
+        if value is None:
+            raise ValueError(f"the {key!r} table lacks {c}, which the recurrence needs")
+        return value
+
+    for c in sorted(parsed, key=lambda c: (sum(c), len(c))):
+        expected = 1 if len(c) <= 1 else step(c, count)
+        if parsed[c] != expected:
+            raise ValueError(f"{key!r} entry {c} is {parsed[c]}; the recurrence gives {expected}")
 
 
 def clear_memo() -> None:

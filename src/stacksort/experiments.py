@@ -3,8 +3,11 @@
 The central scan walks every normalized word of a given length, computes both
 sorting distances, and aggregates the gap (fast distance minus slow distance)
 into a histogram, keeping the words where the slow operator wins outright.
-Everything downstream (the exceptional-word census, gap counts, conjecture
-scans) reads off one such scan, which is cached per length in-process.
+Each word costs one `sort_via_stack` pass per operator: its distance is one
+more than its image's, and the images' distances are memoized within the
+content class (they come from `distance`, with its bound check).  Everything
+downstream (the exceptional-word census, gap counts, conjecture scans) reads
+off one such scan, which is cached per length in-process.
 
 Scans partition the word space by content vector, so they parallelize without
 changing output: partitions are merged in canonical (lexicographic content)
@@ -21,21 +24,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import get_context
 
-from .hooks import (
-    brute_preimages,
-    build_preimage_trees,
-    count_preimages_vhc,
-    enumerate_vhc,
-    filter_for,
-)
-from .sorting import SortVariant, fertility_witness
+from .hooks import brute_preimages, count_preimages_vhc, in_order_preimages
+from .sorting import SortVariant, distance, fertility_witness, sort_via_stack
 from .words import (
     SizeLimitError,
     Word,
     contains_pattern,
+    enumerate_words,
     format_word,
     identity,
-    next_word,
     positive_compositions,
 )
 
@@ -53,56 +50,45 @@ class CensusResult:
     exceptional: list[tuple[Word, int, int]]  # (word, fast distance, slow distance)
 
 
+def _one_more_than_image(w: Word, variant: SortVariant, memo: dict[Word, int]) -> int:
+    """Distance of a non-identity word: one pass, plus its image's memoized distance."""
+    image = sort_via_stack(w, variant)
+    d = memo.get(image)
+    if d is None:
+        d = memo[image] = distance(image, variant)
+    return d + 1
+
+
 def _census_content(c: tuple[int, ...]) -> tuple[dict[int, int], list, int]:
-    """Scan one content class; hot loop, kept allocation-light on purpose."""
-    ident = list(identity(c))
-    cur = ident.copy()
-    hist: dict[int, int] = {}
+    """Scan one content class with one stack pass per word and operator.
+
+    The operators map W_c into itself, so a word's distance is one more than
+    its image's.  Images are few (11,033 of the 362,880 words of 1^9), so
+    their distances are memoized per class, keyed by image.
+    """
+    fast_memo = {identity(c): 0}
+    slow_memo = dict(fast_memo)
+    class_words = enumerate_words(c)
+    next(class_words)  # the identity comes first; both its distances are 0
+    hist = {0: 1}
     exceptional: list[tuple[Word, int, int]] = []
-    total = 0
-    while True:
-        total += 1
-        fast_d = 0
-        u = cur
-        while u != ident:
-            out: list[int] = []
-            stack: list[int] = []
-            for x in u:
-                while stack and stack[-1] < x:
-                    out.append(stack.pop())
-                stack.append(x)
-            while stack:
-                out.append(stack.pop())
-            u = out
-            fast_d += 1
-        slow_d = 0
-        u = cur
-        while u != ident:
-            out = []
-            stack = []
-            for x in u:
-                while stack and stack[-1] <= x:
-                    out.append(stack.pop())
-                stack.append(x)
-            while stack:
-                out.append(stack.pop())
-            u = out
-            slow_d += 1
+    for w in class_words:
+        fast_d = _one_more_than_image(w, SortVariant.FAST, fast_memo)
+        slow_d = _one_more_than_image(w, SortVariant.SLOW, slow_memo)
         gap = fast_d - slow_d
         hist[gap] = hist.get(gap, 0) + 1
         if gap > 0:
-            exceptional.append((tuple(cur), fast_d, slow_d))
-        if not next_word(cur):
-            return hist, exceptional, total
+            exceptional.append((w, fast_d, slow_d))
+    return hist, exceptional, sum(hist.values())
 
 
 _census_cache: dict[int, CensusResult] = {}
 
 
-def distance_census(m: int, parallelism: int = 1, limit: int = MAX_SCAN_LEN) -> CensusResult:
+def distance_census(m: int, parallelism: int = 1) -> CensusResult:
     """Gap census over all normalized words of length m (cached per length)."""
-    if m > limit:
-        raise SizeLimitError(f"length {m} exceeds limit {limit}")
+    if m > MAX_SCAN_LEN:
+        raise SizeLimitError(f"length {m} exceeds limit {MAX_SCAN_LEN}")
     cached = _census_cache.get(m)
     if cached is not None:
         return cached
@@ -136,10 +122,10 @@ def _witnesses(words: list[Word]) -> tuple[list[str], bool]:
     return [format_word(w) for w in words[:WITNESS_CAP]], truncated
 
 
-def find_exceptional(m: int, parallelism: int = 1, limit: int = MAX_SCAN_LEN) -> dict:
+def find_exceptional(m: int, parallelism: int = 1) -> dict:
     """Census of normalized length-m words whose fast distance exceeds the slow one."""
     start = time.perf_counter()
-    census = distance_census(m, parallelism, limit)
+    census = distance_census(m, parallelism)
     words = [w for w, _, _ in census.exceptional]
     witnesses, truncated = _witnesses(words)
     return {
@@ -154,13 +140,13 @@ def find_exceptional(m: int, parallelism: int = 1, limit: int = MAX_SCAN_LEN) ->
     }
 
 
-def gap_census(m: int, gap: int, parallelism: int = 1, limit: int = MAX_SCAN_LEN) -> dict:
+def gap_census(m: int, gap: int, parallelism: int = 1) -> dict:
     """Count normalized length-m words with fast distance minus slow distance = gap.
 
     Witnesses are reported for positive gaps (the scan keeps only those words).
     """
     start = time.perf_counter()
-    census = distance_census(m, parallelism, limit)
+    census = distance_census(m, parallelism)
     words = [w for w, df, ds in census.exceptional if df - ds == gap] if gap > 0 else []
     witnesses, truncated = _witnesses(words)
     return {
@@ -174,7 +160,7 @@ def gap_census(m: int, gap: int, parallelism: int = 1, limit: int = MAX_SCAN_LEN
     }
 
 
-def scan_conjectures(max_m: int, parallelism: int = 1, limit: int = MAX_SCAN_LEN) -> dict:
+def scan_conjectures(max_m: int, parallelism: int = 1) -> dict:
     """Desk-scale scan of the three open conjectures, up to length max_m.
 
     The two bounds are conjectured for words where the slow operator wins
@@ -190,7 +176,7 @@ def scan_conjectures(max_m: int, parallelism: int = 1, limit: int = MAX_SCAN_LEN
     checked = 0
     fractions = []
     for m in range(1, max_m + 1):
-        census = distance_census(m, parallelism, limit)
+        census = distance_census(m, parallelism)
         for w, df, ds in census.exceptional:
             checked += 1
             if 2 * (df - ds) > m - 5:
@@ -228,7 +214,7 @@ def scan_conjectures(max_m: int, parallelism: int = 1, limit: int = MAX_SCAN_LEN
     }
 
 
-def fertility_demo(m: int, brute_limit: int = 4, vhc_limit: int = 12) -> dict:
+def fertility_demo(m: int, brute_limit: int = 4) -> dict:
     """Preimage counts of the two witness families, by every available method.
 
     The permutation witness has 2m preimages, the word with the doubled 1 has
@@ -241,12 +227,8 @@ def fertility_demo(m: int, brute_limit: int = 4, vhc_limit: int = 12) -> dict:
         per_variant = {}
         for variant in SortVariant:
             counts: dict[str, int | None] = {
-                "vhc": count_preimages_vhc(word, variant, limit=vhc_limit),
-                "trees": sum(
-                    1
-                    for config in enumerate_vhc(word, filter_for(variant), limit=vhc_limit)
-                    for _ in build_preimage_trees(word, config, variant)
-                ),
+                "vhc": count_preimages_vhc(word, variant),
+                "trees": len(in_order_preimages(word, variant)),
                 "brute": len(brute_preimages(word, variant)) if m <= brute_limit else None,
             }
             per_variant[variant.value] = counts
@@ -266,11 +248,11 @@ def fertility_demo(m: int, brute_limit: int = 4, vhc_limit: int = 12) -> dict:
     }
 
 
-def verify_exceptional_pattern_claim(m: int, parallelism: int = 1, limit: int = 9) -> dict:
-    """Check that every exceptional length-m word contains an exceptional
-    length-7 word as a pattern; reports the violators."""
-    if m > limit:
-        raise SizeLimitError(f"length {m} exceeds limit {limit}")
+def verify_exceptional_pattern_claim(m: int, parallelism: int = 1) -> dict:
+    """Check that every exceptional length-m word (m <= 9) contains an
+    exceptional length-7 word as a pattern; reports the violators."""
+    if m > 9:
+        raise SizeLimitError(f"length {m} exceeds limit 9")
     start = time.perf_counter()
     base = [w for w, _, _ in distance_census(7, parallelism).exceptional]
     members = [w for w, _, _ in distance_census(m, parallelism).exceptional]

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -201,3 +203,33 @@ def test_corrupt_cache_is_refused(tmp_path, capsys, text):
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
     assert counting._slow_memo == before
+
+
+def test_poisoned_cache_is_refused(tmp_path, capsys):
+    # well-formed, but 999 is not the count (12): a cache file cannot change a result
+    cache = tmp_path / "memo.json"
+    cache.write_text('{"slow": {"2,2,2": "999"}}', encoding="utf-8")
+    before = dict(counting._slow_memo)
+    code, out, err = run(capsys, "--cache", str(cache), "count-sortable", "--map", "slow", "2", "2", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert counting._slow_memo == before
+
+
+def readme_tour() -> list[str]:
+    """The `stacksort ...` lines of the README's CLI code block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("stacksort ")]
+
+
+def test_readme_tour_has_commands():
+    assert len(readme_tour()) >= 10
+
+
+@pytest.mark.parametrize("line", readme_tour())
+def test_readme_tour_command_succeeds(line, capsys, monkeypatch):
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    code, out, err = run(capsys, *shlex.split(line)[1:])
+    assert code == 0, err
+    assert out

@@ -1,3 +1,4 @@
+import json
 from math import comb
 
 import pytest
@@ -10,8 +11,9 @@ from stacksort import (
     brute_count_avoiders,
     count_fast_sortable,
     count_slow_sortable,
-    count_t_sortable,
+    distance,
     distance_bound,
+    enumerate_words,
     fuss_catalan,
     generating_tree_level_counts,
     positive_compositions,
@@ -170,15 +172,17 @@ def test_brute_count_avoiders_examples():
 
 
 def test_t_sortable_counts():
+    # words of W_c that reach the identity within t passes, read off `distance`
     for c in [(2, 1), (1, 1, 1), (2, 2), (1, 2, 2)]:
+        within = {}
         for variant in SortVariant:
-            assert count_t_sortable(c, 0, variant) == 1
+            distances = [distance(w, variant) for w in enumerate_words(c)]
             bound = distance_bound(c, variant)
-            assert count_t_sortable(c, bound, variant) == word_space_size(c)
-        assert count_t_sortable(c, 1, SortVariant.FAST) == brute_count_avoiders(c, [P231])
-        assert count_t_sortable(c, 1, SortVariant.SLOW) == brute_count_avoiders(
-            c, [P231, P221]
-        )
+            assert sum(d <= 0 for d in distances) == 1
+            assert sum(d <= bound for d in distances) == word_space_size(c)
+            within[variant] = sum(d <= 1 for d in distances)
+        assert within[SortVariant.FAST] == brute_count_avoiders(c, [P231])
+        assert within[SortVariant.SLOW] == brute_count_avoiders(c, [P231, P221])
 
 
 def test_memo_persistence_roundtrip(tmp_path):
@@ -190,5 +194,32 @@ def test_memo_persistence_roundtrip(tmp_path):
     assert count_slow_sortable((3, 2, 4, 1)) == fresh  # identical without the cache
     counting.clear_memo()
     counting.load_memo(str(path))
+    assert counting._slow_memo[(3, 2, 4, 1)] == fresh  # loaded: a warm start
     assert count_slow_sortable((3, 2, 4, 1)) == fresh
     assert count_fast_sortable((2, 2, 2)) == count_fast_sortable((2, 2, 2))
+
+
+@pytest.mark.parametrize("key, content", [("fast", (2, 1, 2)), ("slow", (3, 2, 4, 1))])
+def test_load_memo_refuses_values_the_recurrence_contradicts(tmp_path, key, content):
+    counting.clear_memo()
+    count_fast_sortable((2, 1, 2))
+    count_slow_sortable((3, 2, 4, 1))
+    path = tmp_path / "memo.json"
+    counting.save_memo(str(path))
+    data = json.loads(path.read_text(encoding="utf-8"))
+    text = ",".join(map(str, content))
+    data[key][text] = str(int(data[key][text]) + 1)
+    path.write_text(json.dumps(data), encoding="utf-8")
+    counting.clear_memo()
+    with pytest.raises(ValueError):
+        counting.load_memo(str(path))
+    assert counting._fast_memo == {} and counting._slow_memo == {}
+
+
+def test_load_memo_refuses_entries_without_their_subterms(tmp_path):
+    counting.clear_memo()
+    path = tmp_path / "memo.json"
+    path.write_text(json.dumps({"slow": {"2,2,2": "12"}}), encoding="utf-8")
+    with pytest.raises(ValueError):
+        counting.load_memo(str(path))
+    assert counting._slow_memo == {}

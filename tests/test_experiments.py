@@ -5,6 +5,7 @@ from stacksort import (
     SortVariant,
     distance,
     distance_census,
+    enumerate_normalized,
     fertility_demo,
     find_exceptional,
     gap_census,
@@ -28,6 +29,24 @@ def test_census_totals_match_counting():
 def test_no_exceptional_words_up_to_length_six():
     for m in range(1, 7):
         assert distance_census(m).exceptional == []
+
+
+def test_census_matches_per_word_distances():
+    # an independent recount: full `distance` runs on every word, no memo
+    for m in range(1, 8):
+        histogram: dict[int, int] = {}
+        exceptional = []
+        total = 0
+        for w in enumerate_normalized(m):
+            df, ds = distance(w, SortVariant.FAST), distance(w, SortVariant.SLOW)
+            total += 1
+            histogram[df - ds] = histogram.get(df - ds, 0) + 1
+            if df > ds:
+                exceptional.append((w, df, ds))
+        census = distance_census(m)
+        assert census.total == total
+        assert list(census.gap_histogram.items()) == sorted(histogram.items())
+        assert census.exceptional == exceptional
 
 
 def test_exceptional_census_length_seven():
