@@ -163,8 +163,9 @@ def brute_count_avoiders(
     c: ContentVector, patterns: Sequence[Pattern], space_limit: int = 2_000_000
 ) -> int:
     """Count the words in W_c avoiding every given pattern, by exhaustion."""
-    if word_space_size(c) > space_limit:
-        raise SizeLimitError(f"|W_c| = {word_space_size(c)} exceeds limit {space_limit}")
+    size = word_space_size(c)
+    if size > space_limit:
+        raise SizeLimitError(f"|W_c| = {size} exceeds limit {space_limit}")
     return sum(
         1
         for w in enumerate_words(c, limit=sum(c))

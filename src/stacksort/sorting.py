@@ -6,16 +6,19 @@ convention only: under the fast operator a letter may sit on top of an equal
 letter in the stack, under the slow operator it may not.  On permutations the
 two coincide with the classical deterministic stack-sorting map.
 
-Each operator is implemented twice: a recursive definition that splits at the
-occurrences of the largest letter (the oracle), and a linear-time stack machine
-(the production path).  `distance` counts how many applications are needed to
-reach the nondecreasing identity word; it is bounded by the number of letters
-exceeding 1 in the content, and a dedicated worst-case word meets the bound.
+Each operator is implemented twice: the recursive definition that splits at
+the occurrences of the largest letter (the oracle, evaluated with an explicit
+stack of segments so that long words do not hit the recursion limit), and a
+linear-time stack machine (the production path).  `distance` counts how many
+applications are needed to reach the nondecreasing identity word; it is
+bounded by the number of letters exceeding 1 in the content, and a dedicated
+worst-case word meets the bound.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from typing import Callable
 
 from .words import (
     ContentVector,
@@ -40,15 +43,7 @@ def sort_fast(w: Word) -> Word:
     Writing w = A_1 n A_2 n ... n A_{k+1} with n the largest letter (k copies),
     the result is fast(A_1) ... fast(A_{k+1}) followed by the k copies of n.
     """
-    if not w:
-        return ()
-    n = max(w)
-    parts = _split_at_max(w, n)
-    out: list[int] = []
-    for part in parts:
-        out.extend(sort_fast(part))
-    out.extend([n] * (len(parts) - 1))
-    return tuple(out)
+    return _unfold(w, lambda n, parts: parts + [n] * (len(parts) - 1))
 
 
 def sort_slow(w: Word) -> Word:
@@ -58,31 +53,35 @@ def sort_slow(w: Word) -> Word:
     slow(A_1) slow(A_2) n slow(A_3) n ... n slow(A_{k+1}) n: the first two
     blocks fuse, every later block keeps one n in front of it, one n closes.
     """
-    if not w:
-        return ()
-    n = max(w)
-    parts = _split_at_max(w, n)
-    out = list(sort_slow(parts[0]))
-    out.extend(sort_slow(parts[1]))
-    for part in parts[2:]:
-        out.append(n)
-        out.extend(sort_slow(part))
-    out.append(n)
+    return _unfold(w, lambda n, parts: parts[:1] + [x for part in parts[1:] for x in (part, n)])
+
+
+def _unfold(w: Word, expand: Callable[[int, list], list]) -> Word:
+    """Evaluate a definition that splits w at the occurrences of its largest letter.
+
+    `expand(n, parts)` gives the output of one segment as a sequence of
+    subsegments (ranges of w, evaluated the same way) and letters.  An explicit
+    stack stands in for the recursion, so long words do not hit Python's
+    recursion limit.
+    """
+    out: list[int] = []
+    todo: list[tuple[int, int] | int] = [(0, len(w))]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, int):
+            out.append(item)
+            continue
+        lo, hi = item
+        if lo == hi:
+            continue
+        segment = w[lo:hi]
+        n = max(segment)
+        cuts = [lo - 1]  # the occurrences of n, after a sentinel
+        for _ in range(segment.count(n)):
+            cuts.append(w.index(n, cuts[-1] + 1, hi))
+        parts = [(a + 1, b) for a, b in zip(cuts, [*cuts[1:], hi])]
+        todo.extend(reversed(expand(n, parts)))
     return tuple(out)
-
-
-def _split_at_max(w: Word, n: int) -> list[Word]:
-    """Segments of w between occurrences of the letter n (k+1 of them)."""
-    parts: list[Word] = []
-    cur: list[int] = []
-    for x in w:
-        if x == n:
-            parts.append(tuple(cur))
-            cur = []
-        else:
-            cur.append(x)
-    parts.append(tuple(cur))
-    return parts
 
 
 def sort_via_stack(w: Word, variant: SortVariant) -> Word:

@@ -56,17 +56,19 @@ def in_order(t: PlaneTree | None) -> Word:
 
 
 def postorder(t: PlaneTree | None) -> Word:
-    """Subtrees left to right, then the root."""
+    """Subtrees left to right, then the root.
+
+    Walks an explicit stack of nodes and pending labels, so deep trees do not
+    hit the recursion limit.
+    """
     out: list[int] = []
-
-    def walk(node: PlaneTree | None) -> None:
-        if node is None:
-            return
-        walk(node.left)
-        walk(node.right)
-        out.append(node.label)
-
-    walk(t)
+    todo: list[PlaneTree | int | None] = [t]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, int):
+            out.append(node)
+        elif node is not None:
+            todo += [node.label, node.right, node.left]
     return tuple(out)
 
 
@@ -75,20 +77,30 @@ def word_to_tree(w: Word, cls: TreeClass) -> PlaneTree | None:
 
     Splits w = A n B at an occurrence of the largest letter n: the first
     occurrence for class R (so A is n-free), the last for class L (so B is
-    n-free); the root is that occurrence and the sides recurse.
+    n-free); the root is that occurrence and the sides recurse.  The recursion
+    runs on an explicit stack: ranges of w still to split, and labels whose
+    two subtrees are finished.
     """
-
-    def build(lo: int, hi: int) -> PlaneTree | None:
+    built: list[PlaneTree | None] = []  # finished subtrees, left before right
+    todo: list[tuple[int, int] | int] = [(0, len(w))]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, int):
+            right = built.pop()
+            built.append(PlaneTree(item, built.pop(), right))
+            continue
+        lo, hi = item
         if lo >= hi:
-            return None
-        n = max(w[lo:hi])
+            built.append(None)
+            continue
+        segment = w[lo:hi]
+        n = max(segment)
         if cls is TreeClass.R:
-            root = w.index(n, lo, hi)
+            root = lo + segment.index(n)
         else:
-            root = hi - 1 - w[lo:hi][::-1].index(n)
-        return PlaneTree(n, build(lo, root), build(root + 1, hi))
-
-    return build(0, len(w))
+            root = hi - 1 - segment[::-1].index(n)
+        todo += [n, (root + 1, hi), (lo, root)]
+    return built.pop()
 
 
 def in_class(t: PlaneTree | None, cls: TreeClass) -> bool:
@@ -122,23 +134,28 @@ def tree_from_text(text: str) -> PlaneTree | None:
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
 
-    def parse() -> PlaneTree | None:
+    def take() -> str:
         nonlocal pos
         if pos >= len(tokens):
             raise DomainError(f"truncated tree text: {text!r}")
-        tok = tokens[pos]
         pos += 1
+        return tokens[pos - 1]
+
+    def parse() -> PlaneTree | None:
+        tok = take()
         if tok == ".":
             return None
         if tok != "(":
-            raise DomainError(f"unexpected token {tok!r} in tree text")
-        label = int(tokens[pos])
-        pos += 1
+            raise DomainError(f"unexpected token {tok!r} in tree text: {text!r}")
+        tok = take()
+        try:
+            label = int(tok)
+        except ValueError:
+            raise DomainError(f"bad label {tok!r} in tree text: {text!r}") from None
         left = parse()
         right = parse()
-        if tokens[pos] != ")":
+        if take() != ")":
             raise DomainError(f"missing ')' in tree text: {text!r}")
-        pos += 1
         return PlaneTree(label, left, right)
 
     result = parse()

@@ -15,6 +15,7 @@ limit rather than silently grinding.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from math import comb, factorial
 from typing import Iterator
 
@@ -24,6 +25,8 @@ Pattern = tuple[int, ...]
 
 MAX_ENUM_SUM = 12
 MAX_NORMALIZED_LEN = 10
+
+_INF = float("inf")
 
 _SEPARATORS = re.compile(r"[\s,]+")
 
@@ -121,31 +124,70 @@ def contains_pattern(w: Word, p: Pattern) -> bool:
 
     Order-isomorphism is exact, equalities included: chosen letters must
     compare (<, =, >) pairwise the same way the pattern letters do.
+
+    Backtracks over the positions of w, choosing one letter per pattern
+    position, with an explicit level stack.  The letters already chosen are
+    order-isomorphic to the pattern prefix, so a candidate needs comparing
+    with two of them only (see `_pattern_neighbours`): O(1) per candidate,
+    O(k^2) per pattern to find the neighbours, for a pattern of length k.
     """
     m, k = len(w), len(p)
     if k == 0:
         return True
     if k > m:
         return False
+    neighbours = _pattern_neighbours(tuple(p))
+    vals = [0] * k  # vals[i]: the letter chosen for pattern position i
+    resume = [0] * k  # resume[i]: where the scan for position i goes on
+    i = j = 0
+    while True:
+        eq, lo, hi = neighbours[i]
+        last = m - k + i  # leaves room for the rest of the pattern
+        if eq >= 0:
+            a = vals[eq]
+            while j <= last and w[j] != a:
+                j += 1
+        else:
+            a = vals[lo] if lo >= 0 else -_INF
+            b = vals[hi] if hi >= 0 else _INF
+            while j <= last and not a < w[j] < b:
+                j += 1
+        if j <= last:
+            vals[i] = w[j]
+            j += 1
+            resume[i] = j
+            i += 1
+            if i == k:
+                return True
+        else:
+            i -= 1
+            if i < 0:
+                return False
+            j = resume[i]
 
-    chosen: list[int] = []
 
-    def extend(pi: int, start: int) -> bool:
-        if pi == k:
-            return True
-        for idx in range(start, m - (k - pi) + 1):
-            x = w[idx]
-            if all(
-                (x < w[j]) == (p[pi] < p[pj]) and (x == w[j]) == (p[pi] == p[pj])
-                for pj, j in enumerate(chosen)
-            ):
-                chosen.append(idx)
-                if extend(pi + 1, idx + 1):
-                    return True
-                chosen.pop()
-        return False
+@lru_cache(maxsize=256)
+def _pattern_neighbours(p: Pattern) -> tuple[tuple[int, int, int], ...]:
+    """Per pattern position i, three earlier positions, each -1 if none.
 
-    return extend(0, 0)
+    `eq` holds a letter equal to p[i], `lo` the largest letter below p[i],
+    `hi` the smallest above.  A letter x extends a match of p[:i] with chosen
+    letters `vals` iff x == vals[eq] when `eq` exists, and
+    vals[lo] < x < vals[hi] otherwise: every other chosen letter is ordered
+    against these two as its pattern letter is.
+    """
+    out = []
+    for i, a in enumerate(p):
+        eq = lo = hi = -1
+        for j, b in enumerate(p[:i]):
+            if b == a:
+                eq = j
+            elif b < a and (lo < 0 or b > p[lo]):
+                lo = j
+            elif b > a and (hi < 0 or b < p[hi]):
+                hi = j
+        out.append((eq, lo, hi))
+    return tuple(out)
 
 
 def word_space_size(c: ContentVector) -> int:

@@ -24,6 +24,7 @@ from stacksort import (
     sort_permutation,
     sort_slow,
     sort_via_stack,
+    sort_via_trees,
     standardize_ascending,
     standardize_descending,
     worst_case_word,
@@ -80,6 +81,23 @@ def test_stack_machine_matches_recursion(normalized):
         for w in normalized(m):
             assert sort_via_stack(w, FAST) == sort_fast(w)
             assert sort_via_stack(w, SLOW) == sort_slow(w)
+
+
+@pytest.mark.parametrize(
+    "w",
+    [
+        tuple(range(3000, 0, -1)),
+        tuple(range(1, 3001)),
+        tuple(x // 2 + 1 for x in range(2999, -1, -1)),  # decreasing, every letter twice
+    ],
+    ids=["decreasing", "increasing", "decreasing-pairs"],
+)
+def test_recursive_definitions_reach_length_3000(w):
+    # far past Python's default recursion limit of 1000
+    assert sort_fast(w) == sort_via_stack(w, SortVariant.FAST)
+    assert sort_slow(w) == sort_via_stack(w, SortVariant.SLOW)
+    for variant in SortVariant:
+        assert sort_via_trees(w, variant) == sort_via_stack(w, variant)
 
 
 def test_sort_permutation():

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from stacksort import (
@@ -107,7 +109,6 @@ def test_serialization_roundtrip(normalized):
         for cls in TreeClass:
             t = word_to_tree(w, cls)
             assert tree_from_text(tree_to_text(t)) == t
-    with pytest.raises(DomainError):
-        tree_from_text("(1 .")
-    with pytest.raises(DomainError):
-        tree_from_text("(1 . .) extra")
+    for text in ["(1 .", "(1 . .) extra", "(3 . .", "(x . .)", "(", "(1 . . 2)", ")"]:
+        with pytest.raises(DomainError, match=re.escape(repr(text))):
+            tree_from_text(text)

@@ -1,6 +1,9 @@
+from itertools import combinations
 from math import factorial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from stacksort import (
     DomainError,
@@ -65,6 +68,40 @@ def test_every_word_contains_itself(normalized):
     for m in range(0, 5):
         for w in normalized(m):
             assert contains_pattern(w, w)
+
+
+def order_type(s):
+    """The pairwise <, =, > relations of a sequence, with its length."""
+    return len(s), tuple((a > b) - (a < b) for a, b in combinations(s, 2))
+
+
+def contains_by_definition(w, p):
+    # some choice of len(p) positions of w is ordered exactly as p
+    return any(order_type(sub) == order_type(p) for sub in combinations(w, len(p)))
+
+
+def test_contains_pattern_matches_definition_exhaustively(normalized):
+    # every order type of length <= 4, ties included, against every normalized
+    # word of length <= 6
+    patterns = [p for k in range(5) for p in normalized(k)]
+    for m in range(7):
+        for w in normalized(m):
+            types = {order_type(sub) for k in range(5) for sub in combinations(w, k)}
+            for p in patterns:
+                assert contains_pattern(w, p) == (order_type(p) in types), (w, p)
+
+
+@given(st.data())
+def test_contains_pattern_matches_definition_on_longer_words(data):
+    # the shape of the exceptional-pattern check: words to 12, patterns to 7;
+    # half the patterns are read off the word, so that matches are common
+    w = tuple(data.draw(st.lists(st.integers(1, 6), max_size=12)))
+    if data.draw(st.booleans()):
+        p = tuple(data.draw(st.lists(st.integers(1, 5), max_size=7)))
+    else:
+        keep = data.draw(st.lists(st.booleans(), min_size=len(w), max_size=len(w)))
+        p = tuple(x for x, k in zip(w, keep) if k)[:7]
+    assert contains_pattern(w, p) == contains_by_definition(w, p)
 
 
 def test_enumerate_words_examples():
