@@ -270,6 +270,7 @@ def _cmd_gentree(args) -> None:
 
 
 def _cmd_exceptional(args) -> None:
+    experiments.check_scan_length(args.max_len)
     reports = [
         experiments.find_exceptional(m, parallelism=args.parallel)
         for m in range(1, args.max_len + 1)

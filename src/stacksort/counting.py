@@ -162,15 +162,21 @@ def generating_tree_level_counts(spec: GenTreeSpec, depth: int) -> list[int]:
 def brute_count_avoiders(
     c: ContentVector, patterns: Sequence[Pattern], space_limit: int = 2_000_000
 ) -> int:
-    """Count the words in W_c avoiding every given pattern, by exhaustion."""
+    """Count the words in W_c avoiding every given pattern, by exhaustion with prefix skipping.
+
+    Containment passes to extensions: if a prefix w[:e] contains a pattern,
+    so does every word starting with w[:e].  So when a word contains one, the
+    walk over W_c skips every word sharing the shortest such prefix that
+    `contains_pattern` reports, and still counts exactly the avoiders.
+    """
     size = word_space_size(c)
     if size > space_limit:
         raise SizeLimitError(f"|W_c| = {size} exceeds limit {space_limit}")
-    return sum(
-        1
-        for w in enumerate_words(c, limit=sum(c))
-        if not any(contains_pattern(w, p) for p in patterns)
-    )
+
+    def reject(w: Word) -> int:
+        return min(filter(None, (contains_pattern(w, p) for p in patterns)), default=0)
+
+    return sum(1 for _ in enumerate_words(c, limit=sum(c), reject=reject))
 
 
 # ---------------------------------------------------------------------------

@@ -85,10 +85,15 @@ def _census_content(c: tuple[int, ...]) -> tuple[dict[int, int], list, int]:
 _census_cache: dict[int, CensusResult] = {}
 
 
-def distance_census(m: int, parallelism: int = 1) -> CensusResult:
-    """Gap census over all normalized words of length m (cached per length)."""
+def check_scan_length(m: int) -> None:
+    """Refuse a census length above MAX_SCAN_LEN; scans over 1..m call it first."""
     if m > MAX_SCAN_LEN:
         raise SizeLimitError(f"length {m} exceeds limit {MAX_SCAN_LEN}")
+
+
+def distance_census(m: int, parallelism: int = 1) -> CensusResult:
+    """Gap census over all normalized words of length m (cached per length)."""
+    check_scan_length(m)
     cached = _census_cache.get(m)
     if cached is not None:
         return cached
@@ -169,6 +174,7 @@ def scan_conjectures(max_m: int, parallelism: int = 1) -> dict:
     distance at most twice the slow distance minus 2.  The third conjecture
     is monotonicity of the exceptional ratios; the scan reports the sequence.
     """
+    check_scan_length(max_m)
     start = time.perf_counter()
     gap_bound_violations: list[Word] = []
     double_bound_violations: list[Word] = []

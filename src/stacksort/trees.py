@@ -41,18 +41,23 @@ def tree_class_for(variant: SortVariant) -> TreeClass:
 
 
 def in_order(t: PlaneTree | None) -> Word:
-    """Left subtree, root, right subtree."""
+    """Left subtree, root, right subtree.
+
+    Keeps the nodes whose left subtree is being read on an explicit stack, so
+    deep trees do not hit the recursion limit.
+    """
     out: list[int] = []
-
-    def walk(node: PlaneTree | None) -> None:
-        if node is None:
-            return
-        walk(node.left)
+    pending: list[PlaneTree] = []
+    node = t
+    while True:
+        while node is not None:
+            pending.append(node)
+            node = node.left
+        if not pending:
+            return tuple(out)
+        node = pending.pop()
         out.append(node.label)
-        walk(node.right)
-
-    walk(t)
-    return tuple(out)
+        node = node.right
 
 
 def postorder(t: PlaneTree | None) -> Word:
@@ -105,16 +110,20 @@ def word_to_tree(w: Word, cls: TreeClass) -> PlaneTree | None:
 
 def in_class(t: PlaneTree | None, cls: TreeClass) -> bool:
     """Structural check: weakly decreasing, with equal labels on the allowed side."""
-    if t is None:
-        return True
-    for child in (t.left, t.right):
-        if child is not None and child.label > t.label:
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        if node is None:
+            continue
+        for child in (node.left, node.right):
+            if child is not None and child.label > node.label:
+                return False
+        if cls is TreeClass.R and node.left is not None and node.left.label == node.label:
             return False
-    if cls is TreeClass.R and t.left is not None and t.left.label == t.label:
-        return False
-    if cls is TreeClass.L and t.right is not None and t.right.label == t.label:
-        return False
-    return in_class(t.left, cls) and in_class(t.right, cls)
+        if cls is TreeClass.L and node.right is not None and node.right.label == node.label:
+            return False
+        todo += [node.left, node.right]
+    return True
 
 
 def sort_via_trees(w: Word, variant: SortVariant) -> Word:
@@ -124,13 +133,25 @@ def sort_via_trees(w: Word, variant: SortVariant) -> Word:
 
 def tree_to_text(t: PlaneTree | None) -> str:
     """Serialize as nested "(label left right)" with "." for the empty tree."""
-    if t is None:
-        return "."
-    return f"({t.label} {tree_to_text(t.left)} {tree_to_text(t.right)})"
+    parts: list[str] = []
+    todo: list[PlaneTree | str | None] = [t]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif item is None:
+            parts.append(".")
+        else:
+            todo += [")", item.right, " ", item.left, f"({item.label} "]
+    return "".join(parts)
 
 
 def tree_from_text(text: str) -> PlaneTree | None:
-    """Parse the `tree_to_text` format."""
+    """Parse the `tree_to_text` format.
+
+    Nodes still open sit on an explicit stack with the subtrees finished so
+    far, so deep trees do not hit the recursion limit.
+    """
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
 
@@ -141,24 +162,28 @@ def tree_from_text(text: str) -> PlaneTree | None:
         pos += 1
         return tokens[pos - 1]
 
-    def parse() -> PlaneTree | None:
+    open_nodes: list[tuple[int, list[PlaneTree | None]]] = []  # label, finished children
+    while True:
         tok = take()
-        if tok == ".":
-            return None
-        if tok != "(":
+        if tok == "(":
+            tok = take()
+            try:
+                open_nodes.append((int(tok), []))
+            except ValueError:
+                raise DomainError(f"bad label {tok!r} in tree text: {text!r}") from None
+            continue
+        if tok != ".":
             raise DomainError(f"unexpected token {tok!r} in tree text: {text!r}")
-        tok = take()
-        try:
-            label = int(tok)
-        except ValueError:
-            raise DomainError(f"bad label {tok!r} in tree text: {text!r}") from None
-        left = parse()
-        right = parse()
-        if take() != ")":
-            raise DomainError(f"missing ')' in tree text: {text!r}")
-        return PlaneTree(label, left, right)
-
-    result = parse()
+        node = None
+        # a finished subtree completes every open node it is the second child of
+        while open_nodes and len(open_nodes[-1][1]) == 1:
+            if take() != ")":
+                raise DomainError(f"missing ')' in tree text: {text!r}")
+            label, (left,) = open_nodes.pop()
+            node = PlaneTree(label, left, node)
+        if not open_nodes:
+            break
+        open_nodes[-1][1].append(node)
     if pos != len(tokens):
         raise DomainError(f"trailing tokens in tree text: {text!r}")
-    return result
+    return node

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from math import comb, factorial
-from typing import Iterator
+from typing import Callable, Iterator
 
 Word = tuple[int, ...]
 ContentVector = tuple[int, ...]
@@ -119,11 +119,14 @@ def is_normalized(w: Word) -> bool:
     return all(k > 0 for k in content(w))
 
 
-def contains_pattern(w: Word, p: Pattern) -> bool:
-    """True iff some subsequence of w has exactly the relative order of p.
+def contains_pattern(w: Word, p: Pattern) -> int:
+    """0 if w avoids p, else a positive e such that the prefix w[:e] contains p.
 
-    Order-isomorphism is exact, equalities included: chosen letters must
-    compare (<, =, >) pairwise the same way the pattern letters do.
+    w contains p when some subsequence of w has exactly the relative order of
+    p.  Order-isomorphism is exact, equalities included: chosen letters must
+    compare (<, =, >) pairwise the same way the pattern letters do.  The
+    result works as a truth value; when positive it is the end of the first
+    occurrence found (1 for the empty pattern, which every word contains).
 
     Backtracks over the positions of w, choosing one letter per pattern
     position, with an explicit level stack.  The letters already chosen are
@@ -133,9 +136,9 @@ def contains_pattern(w: Word, p: Pattern) -> bool:
     """
     m, k = len(w), len(p)
     if k == 0:
-        return True
+        return 1
     if k > m:
-        return False
+        return 0
     neighbours = _pattern_neighbours(tuple(p))
     vals = [0] * k  # vals[i]: the letter chosen for pattern position i
     resume = [0] * k  # resume[i]: where the scan for position i goes on
@@ -158,11 +161,11 @@ def contains_pattern(w: Word, p: Pattern) -> bool:
             resume[i] = j
             i += 1
             if i == k:
-                return True
+                return j
         else:
             i -= 1
             if i < 0:
-                return False
+                return 0
             j = resume[i]
 
 
@@ -218,16 +221,26 @@ def next_word(letters: list[int]) -> bool:
     return True
 
 
-def enumerate_words(c: ContentVector, limit: int = MAX_ENUM_SUM) -> Iterator[Word]:
-    """Yield every word of content c exactly once, in lexicographic order."""
+def enumerate_words(
+    c: ContentVector, limit: int = MAX_ENUM_SUM, reject: Callable[[Word], int] | None = None
+) -> Iterator[Word]:
+    """Yield every word of content c exactly once, in lexicographic order.
+
+    With `reject`, a word w with e = reject(w) > 0 is not yielded, and neither
+    is any later word starting with w[:e]: those words form one block in
+    lexicographic order, ending where the rest of the word is nonincreasing,
+    so the walk jumps past the block.  `reject` must only return e > 0 when
+    every word with the prefix w[:e] is to be left out.
+    """
     if sum(c) > limit:
         raise SizeLimitError(f"word length {sum(c)} exceeds limit {limit}")
     cur = list(identity(c))
-    if not cur:
-        yield ()
-        return
     while True:
-        yield tuple(cur)
+        w = tuple(cur)
+        if reject is None or not (e := reject(w)):
+            yield w
+        else:
+            cur[e:] = sorted(cur[e:], reverse=True)
         if not next_word(cur):
             return
 

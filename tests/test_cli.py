@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from stacksort import catalan, cli, counting, parse_word
+from stacksort import catalan, cli, counting, experiments, parse_word
 from stacksort.cli import main
 
 
@@ -177,6 +177,15 @@ def test_domain_error_exit_code(capsys):
 def test_size_limit_exit_code(capsys):
     code, _, err = run(capsys, "vhc", "1 2 3 4 5 6 7 8 9 10 11 12 13")
     assert code == 2 and "exceeds" in err
+
+
+@pytest.mark.parametrize("command", ["exceptional", "conjectures"])
+def test_scan_past_length_limit_is_refused_before_any_census(monkeypatch, capsys, command):
+    censuses = []
+    monkeypatch.setattr(experiments, "distance_census", lambda m, parallelism=1: censuses.append(m))
+    code, out, err = run(capsys, command, "--max-len", str(experiments.MAX_SCAN_LEN + 1))
+    assert code == 2 and err.startswith("error:") and "exceeds limit" in err
+    assert out == "" and censuses == []
 
 
 def test_unknown_command_exits_2(capsys):

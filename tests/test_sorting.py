@@ -18,6 +18,8 @@ from stacksort import (
     exceptional_family,
     fertility_witness,
     identity,
+    in_class,
+    in_order,
     parse_word,
     positive_compositions,
     sort_fast,
@@ -27,6 +29,10 @@ from stacksort import (
     sort_via_trees,
     standardize_ascending,
     standardize_descending,
+    tree_class_for,
+    tree_from_text,
+    tree_to_text,
+    word_to_tree,
     worst_case_word,
 )
 
@@ -98,6 +104,12 @@ def test_recursive_definitions_reach_length_3000(w):
     assert sort_slow(w) == sort_via_stack(w, SortVariant.SLOW)
     for variant in SortVariant:
         assert sort_via_trees(w, variant) == sort_via_stack(w, variant)
+        cls = tree_class_for(variant)
+        t = word_to_tree(w, cls)
+        assert in_class(t, cls) and in_order(t) == w
+        # compared as text: the dataclass equality of two trees recurses
+        text = tree_to_text(t)
+        assert tree_to_text(tree_from_text(text)) == text
 
 
 def test_sort_permutation():

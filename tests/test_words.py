@@ -1,3 +1,4 @@
+from functools import lru_cache
 from itertools import combinations
 from math import factorial
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from stacksort import (
     DomainError,
     SizeLimitError,
+    brute_count_avoiders,
     contains_pattern,
     content,
     enumerate_normalized,
@@ -80,15 +82,33 @@ def contains_by_definition(w, p):
     return any(order_type(sub) == order_type(p) for sub in combinations(w, len(p)))
 
 
+def check_against_definition(w, p, contains):
+    """contains_pattern(w, p) is 0 iff w avoids p, and a positive result e
+    names a prefix w[:e] that contains p; `contains` decides containment."""
+    e = contains_pattern(w, p)
+    assert bool(e) == contains(w, p), (w, p, e)
+    if e:
+        assert contains(w[:e], p), (w, p, e)
+
+
+@lru_cache(maxsize=None)
+def short_order_types(w):
+    """The order types of every subsequence of w of length <= 4."""
+    return frozenset(order_type(sub) for k in range(5) for sub in combinations(w, k))
+
+
 def test_contains_pattern_matches_definition_exhaustively(normalized):
     # every order type of length <= 4, ties included, against every normalized
     # word of length <= 6
     patterns = [p for k in range(5) for p in normalized(k)]
+
+    def contains(v, q):
+        return order_type(q) in short_order_types(v)
+
     for m in range(7):
         for w in normalized(m):
-            types = {order_type(sub) for k in range(5) for sub in combinations(w, k)}
             for p in patterns:
-                assert contains_pattern(w, p) == (order_type(p) in types), (w, p)
+                check_against_definition(w, p, contains)
 
 
 @given(st.data())
@@ -101,7 +121,25 @@ def test_contains_pattern_matches_definition_on_longer_words(data):
     else:
         keep = data.draw(st.lists(st.booleans(), min_size=len(w), max_size=len(w)))
         p = tuple(x for x, k in zip(w, keep) if k)[:7]
-    assert contains_pattern(w, p) == contains_by_definition(w, p)
+    check_against_definition(w, p, contains_by_definition)
+
+
+@pytest.mark.parametrize(
+    "patterns",
+    [[], [()], [(1, 1)], [(2, 1, 3, 1)], [(2, 3, 1)], [(2, 3, 1), (2, 2, 1)]],
+    ids=["none", "empty", "11", "2131", "231", "231+221"],
+)
+def test_brute_count_avoiders_matches_plain_filter(patterns):
+    # the prefix-skipping count against a filter over every word of W_c; the
+    # contents include (), where the empty pattern leaves no avoider
+    contents = [c for m in range(7) for c in positive_compositions(m)] + [(0, 2, 2), (3, 3)]
+    for c in contents:
+        plain = sum(
+            1
+            for w in enumerate_words(c, limit=sum(c))
+            if not any(contains_by_definition(w, p) for p in patterns)
+        )
+        assert brute_count_avoiders(c, patterns) == plain, (c, patterns)
 
 
 def test_enumerate_words_examples():
