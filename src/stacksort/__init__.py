@@ -53,6 +53,7 @@ from .sorting import (
     distance_bound,
     exceptional_family,
     fertility_witness,
+    image_pair_counts,
     sort_fast,
     sort_permutation,
     sort_slow,

@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--limit", type=int, default=hooks.MAX_VHC_LEN, metavar="LEN",
                         help="maximum word length for configuration enumeration and "
                         "preimage listing (the dp count has no cap)")
-    parser.add_argument("--space-limit", type=int, default=hooks.MAX_SPACE, metavar="SIZE",
+    parser.add_argument("--space-limit", type=int, default=words.MAX_SPACE, metavar="SIZE",
                         help="maximum content-class size for brute-force passes")
     parser.add_argument("--cache", metavar="PATH", default=os.environ.get(CACHE_ENV),
                         help=f"memo cache file (or set {CACHE_ENV}); purely a warm start")

@@ -16,6 +16,7 @@ from math import comb
 from typing import Callable, Mapping, Sequence
 
 from .words import (
+    MAX_SPACE,
     ContentVector,
     DomainError,
     InvariantError,
@@ -160,14 +161,16 @@ def generating_tree_level_counts(spec: GenTreeSpec, depth: int) -> list[int]:
 
 
 def brute_count_avoiders(
-    c: ContentVector, patterns: Sequence[Pattern], space_limit: int = 2_000_000
+    c: ContentVector, patterns: Sequence[Pattern], space_limit: int = MAX_SPACE
 ) -> int:
     """Count the words in W_c avoiding every given pattern, by exhaustion with prefix skipping.
 
-    Containment passes to extensions: if a prefix w[:e] contains a pattern,
-    so does every word starting with w[:e].  So when a word contains one, the
-    walk over W_c skips every word sharing the shortest such prefix that
-    `contains_pattern` reports, and still counts exactly the avoiders.
+    If w has an occurrence of a pattern ending at e, so does every later word
+    of W_c sharing w[:e-1]: such a word either shares w[:e] as well, or has
+    a larger letter in place of w[e-1] and w[e-1] further right.  So when a
+    word contains a pattern, the walk over W_c skips the later words sharing
+    w[:e-1] for the smallest end e that `contains_pattern` reports, and
+    still counts exactly the avoiders.
     """
     size = word_space_size(c)
     if size > space_limit:

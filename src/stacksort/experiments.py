@@ -1,13 +1,15 @@
 """Exhaustive-search experiments over normalized words.
 
-The central scan walks every normalized word of a given length, computes both
-sorting distances, and aggregates the gap (fast distance minus slow distance)
-into a histogram, keeping the words where the slow operator wins outright.
-Each word costs one `sort_via_stack` pass per operator: its distance is one
-more than its image's, and the images' distances are memoized within the
-content class (they come from `distance`, with its bound check).  Everything
-downstream (the exceptional-word census, gap counts, conjecture scans) reads
-off one such scan, which is cached per length in-process.
+The central scan covers every normalized word of a given length, computes
+both sorting distances, and aggregates the gap (fast distance minus slow
+distance) into a histogram, keeping the words where the slow operator wins
+outright.  It sorts no word: per content class, `image_pair_counts` gives the
+(fast image, slow image) pairs with the number of words behind each, a
+word's distance is one more than its image's, and the images' distances come
+from `distance` with a memo per class.  Only the pairs where slow wins are
+expanded back into their words.  Everything downstream (the exceptional-word
+census, gap counts, conjecture scans) reads off one such scan, which is
+cached per length in-process.
 
 Scans partition the word space by content vector, so they parallelize without
 changing output: partitions are merged in canonical (lexicographic content)
@@ -22,17 +24,24 @@ import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from multiprocessing import get_context
 
 from .hooks import brute_preimages, count_preimages_vhc, in_order_preimages
-from .sorting import SortVariant, distance, fertility_witness, sort_via_stack
+from .sorting import (
+    SortVariant,
+    distance,
+    fertility_witness,
+    image_pair_counts,
+    sort_via_stack,
+)
 from .words import (
     SizeLimitError,
     Word,
     contains_pattern,
+    content,
     enumerate_words,
     format_word,
-    identity,
     positive_compositions,
 )
 
@@ -50,36 +59,81 @@ class CensusResult:
     exceptional: list[tuple[Word, int, int]]  # (word, fast distance, slow distance)
 
 
-def _one_more_than_image(w: Word, variant: SortVariant, memo: dict[Word, int]) -> int:
-    """Distance of a non-identity word: one pass, plus its image's memoized distance."""
-    image = sort_via_stack(w, variant)
-    d = memo.get(image)
-    if d is None:
-        d = memo[image] = distance(image, variant)
-    return d + 1
-
-
 def _census_content(c: tuple[int, ...]) -> tuple[dict[int, int], list, int]:
-    """Scan one content class with one stack pass per word and operator.
+    """Scan one content class through its (fast image, slow image) pair counts.
 
-    The operators map W_c into itself, so a word's distance is one more than
-    its image's.  Images are few (11,033 of the 362,880 words of 1^9), so
-    their distances are memoized per class, keyed by image.
+    `image_pair_counts` gives every pair with the number of words behind it,
+    so no word is sorted.  A word's distance is one more than its image's
+    (the identity's is 0, but it is its own image under both operators and
+    lands at gap 0 either way), so a pair (f, s) adds its count at gap
+    d_fast(f) - d_slow(s).  The image distances come from `distance`, with
+    a memo per class and operator.  Only the pairs with a positive gap are
+    expanded back into words.
     """
-    fast_memo = {identity(c): 0}
-    slow_memo = dict(fast_memo)
-    class_words = enumerate_words(c)
-    next(class_words)  # the identity comes first; both its distances are 0
-    hist = {0: 1}
-    exceptional: list[tuple[Word, int, int]] = []
-    for w in class_words:
-        fast_d = _one_more_than_image(w, SortVariant.FAST, fast_memo)
-        slow_d = _one_more_than_image(w, SortVariant.SLOW, slow_memo)
+    block_pairs: dict = {}
+    pairs = image_pair_counts(c, block_pairs)
+    fast_memo: dict[Word, int] = {}
+    slow_memo: dict[Word, int] = {}
+    hist: dict[int, int] = {}
+    wanted: dict[tuple[Word, Word], tuple[int, int]] = {}
+    for (f, s), count in pairs.items():
+        fast_d = distance(f, SortVariant.FAST, fast_memo) + 1
+        slow_d = distance(s, SortVariant.SLOW, slow_memo) + 1
         gap = fast_d - slow_d
-        hist[gap] = hist.get(gap, 0) + 1
+        hist[gap] = hist.get(gap, 0) + count
         if gap > 0:
-            exceptional.append((w, fast_d, slow_d))
-    return hist, exceptional, sum(hist.values())
+            wanted[f, s] = (fast_d, slow_d)
+    return hist, _words_with_pairs(c, wanted, block_pairs), sum(hist.values())
+
+
+def _words_with_pairs(
+    c: tuple[int, ...], wanted: dict[tuple[Word, Word], tuple[int, int]], block_pairs: dict
+) -> list[tuple[Word, int, int]]:
+    """The words of W_c whose pair is in `wanted`, with their distances, in
+    lexicographic order.
+
+    The pair (f, s) of w = A_1 n A_2 n ... n A_{k+1} cuts back into the pairs
+    of its blocks.  No block holds an n, so the n's of s cut it into
+    slow(A_1) slow(A_2), slow(A_3), ..., slow(A_{k+1}); only the length of
+    A_1 is free.  Each choice of it cuts f = fast(A_1) ... fast(A_{k+1}) n^k
+    as well, and gives words iff every piece is a pair of its block's
+    content.  The block words behind each such piece are listed once per
+    block content, by enumeration and two stack passes.
+    """
+    n = len(c)
+    listed: dict[tuple[int, ...], dict[tuple[Word, Word], list[Word]]] = {}
+    out: list[tuple[Word, int, int]] = []
+    for (f, s), (fast_d, slow_d) in wanted.items():
+        ends = [i for i, x in enumerate(s) if x == n]
+        head = s[:ends[0]]
+        later = [s[a + 1:b] for a, b in zip(ends, ends[1:])]
+        for j in range(len(head) + 1):
+            cuts = []
+            i = 0
+            for slow_piece in (head[:j], head[j:], *later):
+                fast_piece = f[i:i + len(slow_piece)]
+                i += len(slow_piece)
+                cuts.append((content(fast_piece), (fast_piece, slow_piece)))
+            if not all(pair in block_pairs[b] for b, pair in cuts):
+                continue
+            for parts in product(*(_block_words(b, listed)[pair] for b, pair in cuts)):
+                w = list(parts[0])
+                for part in parts[1:]:
+                    w.append(n)
+                    w.extend(part)
+                out.append((tuple(w), fast_d, slow_d))
+    out.sort()
+    return out
+
+
+def _block_words(b: tuple[int, ...], listed: dict) -> dict[tuple[Word, Word], list[Word]]:
+    by_pair = listed.get(b)
+    if by_pair is None:
+        by_pair = listed[b] = {}
+        for w in enumerate_words(b, limit=sum(b)):
+            key = (sort_via_stack(w, SortVariant.FAST), sort_via_stack(w, SortVariant.SLOW))
+            by_pair.setdefault(key, []).append(w)
+    return by_pair
 
 
 _census_cache: dict[int, CensusResult] = {}
@@ -255,10 +309,9 @@ def fertility_demo(m: int, brute_limit: int = 4) -> dict:
 
 
 def verify_exceptional_pattern_claim(m: int, parallelism: int = 1) -> dict:
-    """Check that every exceptional length-m word (m <= 9) contains an
-    exceptional length-7 word as a pattern; reports the violators."""
-    if m > 9:
-        raise SizeLimitError(f"length {m} exceeds limit 9")
+    """Check that every exceptional length-m word (m <= MAX_SCAN_LEN) contains
+    an exceptional length-7 word as a pattern; reports the violators."""
+    check_scan_length(m)
     start = time.perf_counter()
     base = [w for w, _, _ in distance_census(7, parallelism).exceptional]
     members = [w for w, _, _ in distance_census(m, parallelism).exceptional]

@@ -50,6 +50,7 @@ from typing import Iterator
 from .sorting import SortVariant, sort_via_stack
 from .trees import PlaneTree, in_order
 from .words import (
+    MAX_SPACE,
     DomainError,
     InvariantError,
     SizeLimitError,
@@ -63,7 +64,6 @@ PlotPoint = tuple[int, int]
 Composition = tuple[int, ...]
 
 MAX_VHC_LEN = 12
-MAX_SPACE = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -194,6 +194,7 @@ def _enumerate_pairs(w: Word, which: VhcFilter) -> list[tuple[tuple[int, int], .
             ne_state[j] = saved
 
     visit(1)
+    del visit  # the closure refers to itself; dropping it frees the state without gc
     return results
 
 

@@ -9,24 +9,28 @@ two coincide with the classical deterministic stack-sorting map.
 Each operator is implemented twice: the recursive definition that splits at
 the occurrences of the largest letter (the oracle, evaluated with an explicit
 stack of segments so that long words do not hit the recursion limit), and a
-linear-time stack machine (the production path).  `distance` counts how many
-applications are needed to reach the nondecreasing identity word; it is
-bounded by the number of letters exceeding 1 in the content, and a dedicated
-worst-case word meets the bound.
+linear-time stack machine (the production path).  `image_pair_counts` applies
+the same split to a whole content class at once: it counts the pairs (fast
+image, slow image) over W_c from the pairs of the blocks, without sorting any
+word.  `distance` counts how many applications are needed to reach the
+nondecreasing identity word; it is bounded by the number of letters exceeding
+1 in the content, and a dedicated worst-case word meets the bound.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable
+from itertools import product
+from typing import Callable, Iterator
 
 from .words import (
+    MAX_ENUM_SUM,
     ContentVector,
     DomainError,
     InvariantError,
+    SizeLimitError,
     Word,
     content,
-    identity,
 )
 
 
@@ -107,6 +111,85 @@ def sort_via_stack(w: Word, variant: SortVariant) -> Word:
     return tuple(out)
 
 
+def image_pair_counts(c: ContentVector, memo: dict | None = None) -> dict[tuple[Word, Word], int]:
+    """The pairs (sort_fast(w), sort_slow(w)) over w in W_c, with multiplicities.
+
+    Write w = A_1 n A_2 n ... n A_{k+1} with n the largest letter (k copies).
+    The two definitions give
+
+        fast(w) = fast(A_1) fast(A_2) ... fast(A_{k+1}) n^k,
+        slow(w) = slow(A_1) slow(A_2) n slow(A_3) n ... n slow(A_{k+1}) n,
+
+    the word form of West's s(LnR) = s(L) s(R) n.  So the pair of w depends
+    only on the pairs of its blocks.  Summing over every split of the other
+    letters into k + 1 block contents, each split contributes every
+    combination of its blocks' pairs, with the product of their
+    multiplicities.  The counts of a block content are computed once and kept
+    in `memo`, keyed by the content without trailing zeros; pass a dict to
+    read them back.
+    """
+    c = _strip_zeros(tuple(c))
+    if any(k < 0 for k in c):
+        raise DomainError("content entries must be nonnegative")
+    if sum(c) > MAX_ENUM_SUM:
+        raise SizeLimitError(f"word length {sum(c)} exceeds limit {MAX_ENUM_SUM}")
+    return _pair_counts(c, {} if memo is None else memo)
+
+
+def _pair_counts(c: ContentVector, memo: dict) -> dict[tuple[Word, Word], int]:
+    got = memo.get(c)
+    if got is not None:
+        return got
+    out: dict[tuple[Word, Word], int] = {}
+    if not c:
+        out[(), ()] = 1
+    else:
+        n, k = len(c), c[-1]
+        sep, tail = (n,), (n,) * k
+        for blocks in _largest_letter_splits(c):
+            first, *rest = [_pair_counts(b, memo) for b in blocks]
+            acc = [(f, s, x) for (f, s), x in first.items()]
+            for part in rest:
+                acc = [(f + g, s + t + sep, x * y) for f, s, x in acc for (g, t), y in part.items()]
+            for f, s, x in acc:
+                key = (f + tail, s)
+                out[key] = out.get(key, 0) + x
+    memo[c] = out
+    return out
+
+
+def _largest_letter_splits(c: ContentVector) -> Iterator[tuple[ContentVector, ...]]:
+    """The block contents (b_1, ..., b_{k+1}) of the words A_1 n ... n A_{k+1} in W_c.
+
+    n = len(c) is the largest letter and k = c[-1] > 0 its copies; every way
+    to share out the smaller letters among the k + 1 blocks appears once.
+    Block contents carry no trailing zeros, so () is the empty block.
+    """
+    k = c[-1]
+    shares = [list(_weak_compositions(x, k + 1)) for x in c[:-1]]
+    for choice in product(*shares):
+        if not choice:
+            yield ((),) * (k + 1)
+        else:
+            yield tuple(_strip_zeros(block) for block in zip(*choice))
+
+
+def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _weak_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _strip_zeros(c: ContentVector) -> ContentVector:
+    end = len(c)
+    while end and not c[end - 1]:
+        end -= 1
+    return c[:end]
+
+
 def sort_permutation(p: Word) -> Word:
     """The classical stack-sorting map, on words with pairwise distinct letters."""
     if len(set(p)) != len(p):
@@ -175,17 +258,30 @@ def distance_bound(c: ContentVector, variant: SortVariant) -> int:
     return sum(c[1:])
 
 
-def distance(w: Word, variant: SortVariant) -> int:
-    """Minimal k with sort^k(w) equal to the identity word of w's content."""
-    target = identity(content(w))
+def distance(w: Word, variant: SortVariant, memo: dict[Word, int] | None = None) -> int:
+    """Minimal k with sort^k(w) equal to the identity word of w's content.
+
+    With `memo` (known distances under `variant` of words of w's content),
+    the walk stops at the identity or at the first word already in the memo,
+    and every word on the path is stored: each new word costs one pass.
+    """
+    target = tuple(sorted(w))  # the identity word of w's content
     bound = distance_bound(content(w), variant)
-    k = 0
+    path: list[Word] = []
     cur = w
-    while cur != target:
+    known = 0
+    while cur != target and len(path) <= bound:
+        if memo is not None and (d := memo.get(cur)) is not None:
+            known = d
+            break
+        path.append(cur)
         cur = sort_via_stack(cur, variant)
-        k += 1
-        if k > bound:  # termination within the bound is a theorem
-            raise InvariantError(f"sorting {w} exceeded the distance bound {bound}")
+    k = known + len(path)
+    if k > bound:  # termination within the bound is a theorem
+        raise InvariantError(f"sorting {w} exceeded the distance bound {bound}")
+    if memo is not None:
+        for i, u in enumerate(path):
+            memo[u] = k - i
     return k
 
 

@@ -25,6 +25,7 @@ Pattern = tuple[int, ...]
 
 MAX_ENUM_SUM = 12
 MAX_NORMALIZED_LEN = 10
+MAX_SPACE = 2_000_000  # largest content class the brute-force passes exhaust
 
 _INF = float("inf")
 
@@ -227,10 +228,14 @@ def enumerate_words(
     """Yield every word of content c exactly once, in lexicographic order.
 
     With `reject`, a word w with e = reject(w) > 0 is not yielded, and neither
-    is any later word starting with w[:e]: those words form one block in
-    lexicographic order, ending where the rest of the word is nonincreasing,
-    so the walk jumps past the block.  `reject` must only return e > 0 when
-    every word with the prefix w[:e] is to be left out.
+    is any later word starting with w[:e-1]: those words run on to the end
+    of the block of words with that prefix, which ends where the rest of the
+    word is nonincreasing, so the walk jumps there.  `reject` must only
+    return e > 0 when w and every later word sharing w[:e-1] are to be left
+    out.  An occurrence of a pattern that ends at e qualifies: a later word
+    u sharing w[:e-1] has u[e-1] >= w[e-1], and the same content, so either
+    u[:e] == w[:e] or the letter w[e-1] comes later in u; both give u the
+    occurrence.
     """
     if sum(c) > limit:
         raise SizeLimitError(f"word length {sum(c)} exceeds limit {limit}")
@@ -240,7 +245,7 @@ def enumerate_words(
         if reject is None or not (e := reject(w)):
             yield w
         else:
-            cur[e:] = sorted(cur[e:], reverse=True)
+            cur[e - 1:] = sorted(cur[e - 1:], reverse=True)
         if not next_word(cur):
             return
 

@@ -4,6 +4,8 @@ Each checker takes one word and asserts a batch of structural invariants over
 everything enumerable from it; callers quantify over exhaustive corpora.
 """
 
+from itertools import combinations
+
 from stacksort import (
     SortVariant,
     VhcFilter,
@@ -71,3 +73,14 @@ def check_coloring_properties(w) -> int:
 def check_content_preservation(w) -> None:
     for variant in SortVariant:
         assert content(sort_via_stack(w, variant)) == content(w), (w, variant)
+
+
+def order_type(s):
+    """The pairwise <, =, > relations of a sequence, with its length."""
+    return len(s), tuple((a > b) - (a < b) for a, b in combinations(s, 2))
+
+
+def contains_by_definition(w, p):
+    """Pattern containment by the definition: some choice of len(p) positions
+    of w is ordered exactly as p."""
+    return any(order_type(sub) == order_type(p) for sub in combinations(w, len(p)))

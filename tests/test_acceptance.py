@@ -1,8 +1,8 @@
 """Acceptance gate: every shipped claim, re-verified end to end.
 
 Each test prints one PASS/FAIL line.  The corpora are exhaustive (normalized
-words up to length 9 for the censuses), so the full module takes several
-minutes; run it with `pytest tests/test_acceptance.py -v -s`.
+words up to length 9 for the censuses), so the full module takes about a
+minute; run it with `pytest tests/test_acceptance.py -v -s`.
 """
 
 import functools
@@ -16,6 +16,7 @@ from property_checks import (
     check_coloring_properties,
     check_content_preservation,
     check_vhc_conditions,
+    contains_by_definition,
 )
 from stacksort import (
     SortVariant,
@@ -24,11 +25,13 @@ from stacksort import (
     catalan,
     catalan_product,
     collapse_letters,
+    contains_pattern,
     content,
     count_fast_sortable,
     count_preimages,
     count_preimages_vhc,
     count_slow_sortable,
+    distance,
     distance_bound,
     distance_census,
     enumerate_vhc,
@@ -42,6 +45,7 @@ from stacksort import (
     in_order_preimages,
     induced_composition,
     normalized_count,
+    parse_word,
     positive_compositions,
     sort_fast,
     sort_permutation,
@@ -275,3 +279,22 @@ def test_criterion_11_dp_preimage_counts(normalized, brute):
             w = fertility_witness(m, extra_one)
             for variant in (FAST, SLOW):
                 assert count_preimages(w, variant) == expected, (w, variant)
+
+
+@criterion(12, "length-10 findings: 8 words break fast <= 2 slow - 2; "
+               "2 exceptional words avoid every exceptional length-7 word")
+def test_criterion_12_length_ten_findings():
+    double_bound_breakers = ["4883772561", "4883775261", "4887372561", "4887375261",
+                             "8483772561", "8483775261", "8487372561", "8487375261"]
+    for text in double_bound_breakers:
+        w = parse_word(text)
+        fast, slow = distance(w, FAST), distance(w, SLOW)
+        assert (fast, slow) == (5, 3), (text, fast, slow)
+        assert fast > 2 * slow - 2
+    e7 = [parse_word(t) for t in ("3662451", "3664251", "6362451", "6364251")]
+    for text, expected in (("1884935672", (5, 4)), ("2884935671", (6, 5))):
+        w = parse_word(text)
+        assert (distance(w, FAST), distance(w, SLOW)) == expected, text
+        for p in e7:
+            assert not contains_pattern(w, p), (text, p)
+            assert not contains_by_definition(w, p), (text, p)

@@ -1,3 +1,6 @@
+import hashlib
+import os
+
 import pytest
 
 from stacksort import (
@@ -8,6 +11,7 @@ from stacksort import (
     enumerate_normalized,
     fertility_demo,
     find_exceptional,
+    format_word,
     gap_census,
     normalized_count,
     parse_word,
@@ -139,4 +143,27 @@ def test_census_size_limit():
     with pytest.raises(SizeLimitError):
         distance_census(11)
     with pytest.raises(SizeLimitError):
-        verify_exceptional_pattern_claim(10)
+        verify_exceptional_pattern_claim(11)
+
+
+LENGTH_TEN_HISTOGRAM = {
+    -8: 1, -7: 718, -6: 26954, -5: 310930, -4: 1824228, -3: 6805014, -2: 18172691,
+    -1: 35291552, 0: 39690724, 1: 120351, 2: 4400,
+}
+
+
+@pytest.mark.length10
+@pytest.mark.skipif(not os.environ.get("STACKSORT_LENGTH10"),
+                    reason="set STACKSORT_LENGTH10=1 to run the length-10 census")
+def test_length_ten_census():
+    # figures first computed by sorting every word, one stack pass per word
+    # and operator; here they check the pair-count census beyond brute force
+    census = distance_census(10, parallelism=min(2, os.cpu_count() or 1))
+    assert census.total == normalized_count(10) == 102_247_563
+    assert census.gap_histogram == LENGTH_TEN_HISTOGRAM
+    assert len(census.exceptional) == 124_751
+    assert sum(1 for _, df, ds in census.exceptional if df > 2 * ds - 2) == 8
+    assert verify_exceptional_pattern_claim(10)["violators"] == 1_870
+    lines = "".join(f"{format_word(w)} {df} {ds}\n" for w, df, ds in census.exceptional)
+    assert hashlib.sha256(lines.encode()).hexdigest() == (
+        "48019293f300ea4b7d93e1f2e0ca2c0170d2e08a8c926cccffb25703492e5448")

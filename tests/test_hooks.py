@@ -1,3 +1,4 @@
+import gc
 from itertools import product
 
 import pytest
@@ -300,3 +301,15 @@ def test_config_to_dict():
         "q": [1, 1, 1],
         "catalan": 1,
     }
+
+
+def test_listing_preimages_leaves_no_reference_cycles():
+    # the configuration search frees its state by reference counting alone
+    gc.collect()
+    gc.disable()
+    try:
+        for variant in (FAST, SLOW):
+            assert len(in_order_preimages(tuple(range(1, 9)), variant)) == catalan(8)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,8 @@ import pytest
 import stacksort
 from stacksort import (
     DomainError,
+    InvariantError,
+    SizeLimitError,
     SortVariant,
     collapse_letters,
     content,
@@ -18,6 +21,7 @@ from stacksort import (
     exceptional_family,
     fertility_witness,
     identity,
+    image_pair_counts,
     in_class,
     in_order,
     parse_word,
@@ -166,6 +170,52 @@ def test_distance_examples():
     assert distance(identity((2, 2, 3)), FAST) == 0
     assert distance(identity((2, 2, 3)), SLOW) == 0
     assert distance((), FAST) == 0
+
+
+def test_distance_memo_keeps_the_path():
+    w = parse_word("3662451")
+    chain = [w]
+    for _ in range(4):
+        chain.append(sort_via_stack(chain[-1], FAST))
+    memo: dict = {}
+    assert distance(w, FAST, memo) == 4
+    assert memo == {u: 4 - i for i, u in enumerate(chain[:4])}  # the identity is not stored
+    # the walk stops at the first word it knows
+    memo = {chain[1]: 3}
+    assert distance(w, FAST, memo) == 4
+    assert memo == {w: 4, chain[1]: 3}
+    assert distance(identity((2, 2, 3)), SLOW, {}) == 0
+
+
+def test_distance_memo_values_are_bound_checked():
+    # (2, 1) has fast bound 1; a memo claiming more fails the check
+    with pytest.raises(InvariantError):
+        distance((2, 1), FAST, {(2, 1): 2})
+    with pytest.raises(InvariantError):
+        distance((2, 2, 1), SLOW, {(2, 1, 2): 3})
+
+
+def test_image_pair_counts_match_sorting_every_word():
+    # the split formulas against both stack passes on every word of the class
+    contents = [c for m in range(8) for c in positive_compositions(m)]
+    contents += [(0, 2, 2), (2, 0, 1), (1, 0), (0, 0, 3, 0, 1)]
+    for c in contents:
+        expected = Counter(
+            (sort_via_stack(w, FAST), sort_via_stack(w, SLOW)) for w in enumerate_words(c)
+        )
+        assert image_pair_counts(c) == expected, c
+
+
+def test_image_pair_counts_memo_and_limits():
+    memo: dict = {}
+    pairs = image_pair_counts((1, 2, 0, 0), memo)
+    assert memo[(1, 2)] is pairs  # keys carry no trailing zeros
+    assert memo[()] == {((), ()): 1}
+    assert sum(pairs.values()) == 3
+    with pytest.raises(DomainError):
+        image_pair_counts((1, -1, 2))
+    with pytest.raises(SizeLimitError):
+        image_pair_counts((13,))
 
 
 def test_sorting_reduces_to_permutation_sorting(normalized):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from property_checks import contains_by_definition, order_type
 from stacksort import (
     DomainError,
     SizeLimitError,
@@ -72,16 +73,6 @@ def test_every_word_contains_itself(normalized):
             assert contains_pattern(w, w)
 
 
-def order_type(s):
-    """The pairwise <, =, > relations of a sequence, with its length."""
-    return len(s), tuple((a > b) - (a < b) for a, b in combinations(s, 2))
-
-
-def contains_by_definition(w, p):
-    # some choice of len(p) positions of w is ordered exactly as p
-    return any(order_type(sub) == order_type(p) for sub in combinations(w, len(p)))
-
-
 def check_against_definition(w, p, contains):
     """contains_pattern(w, p) is 0 iff w avoids p, and a positive result e
     names a prefix w[:e] that contains p; `contains` decides containment."""
@@ -126,12 +117,15 @@ def test_contains_pattern_matches_definition_on_longer_words(data):
 
 @pytest.mark.parametrize(
     "patterns",
-    [[], [()], [(1, 1)], [(2, 1, 3, 1)], [(2, 3, 1)], [(2, 3, 1), (2, 2, 1)]],
-    ids=["none", "empty", "11", "2131", "231", "231+221"],
+    [[], [()], [(1, 1)], [(1, 2)], [(2, 1, 3)], [(2, 1, 3, 1)], [(2, 3, 1)],
+     [(2, 3, 1), (2, 2, 1)]],
+    ids=["none", "empty", "11", "12", "213", "2131", "231", "231+221"],
 )
 def test_brute_count_avoiders_matches_plain_filter(patterns):
     # the prefix-skipping count against a filter over every word of W_c; the
-    # contents include (), where the empty pattern leaves no avoider
+    # contents include (), where the empty pattern leaves no avoider.  A walk
+    # that skipped from e - 2 instead of e - 1 would pass over 21 after 12,
+    # and count no avoider of 12 in W_(1,1)
     contents = [c for m in range(7) for c in positive_compositions(m)] + [(0, 2, 2), (3, 3)]
     for c in contents:
         plain = sum(
