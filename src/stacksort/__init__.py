@@ -44,7 +44,6 @@ from .hooks import (
     induced_coloring,
     induced_composition,
     is_valid_config,
-    spawn_tuples,
 )
 from .sorting import (
     SortVariant,

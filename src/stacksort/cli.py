@@ -116,16 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_report(report: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(experiments.report_json(report))
-        return
-    for key, value in report.items():
-        if key in ("experiment", "elapsed_seconds"):
-            continue
-        print(f"{key}: {json.dumps(value) if isinstance(value, (dict, list)) else value}")
-
-
 def _cmd_sort(args) -> None:
     w = words.parse_word(args.word)
     variant = _variant(args.map)

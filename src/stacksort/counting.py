@@ -179,7 +179,7 @@ def brute_count_avoiders(
     def reject(w: Word) -> int:
         return min(filter(None, (contains_pattern(w, p) for p in patterns)), default=0)
 
-    return sum(1 for _ in enumerate_words(c, limit=sum(c), reject=reject))
+    return sum(1 for _ in enumerate_words(c, reject=reject))
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,9 @@ from .sorting import (
     sort_via_stack,
 )
 from .words import (
-    SizeLimitError,
+    MAX_SCAN_LEN,  # re-exported: the length bound of every scan here
     Word,
+    check_scan_length,
     contains_pattern,
     content,
     enumerate_words,
@@ -45,8 +46,8 @@ from .words import (
     positive_compositions,
 )
 
-MAX_SCAN_LEN = 10
 WITNESS_CAP = 1000
+FERTILITY_BRUTE_MAX = 4  # fertility_demo runs brute force for m up to this
 
 
 @dataclass
@@ -130,19 +131,13 @@ def _block_words(b: tuple[int, ...], listed: dict) -> dict[tuple[Word, Word], li
     by_pair = listed.get(b)
     if by_pair is None:
         by_pair = listed[b] = {}
-        for w in enumerate_words(b, limit=sum(b)):
+        for w in enumerate_words(b):
             key = (sort_via_stack(w, SortVariant.FAST), sort_via_stack(w, SortVariant.SLOW))
             by_pair.setdefault(key, []).append(w)
     return by_pair
 
 
 _census_cache: dict[int, CensusResult] = {}
-
-
-def check_scan_length(m: int) -> None:
-    """Refuse a census length above MAX_SCAN_LEN; scans over 1..m call it first."""
-    if m > MAX_SCAN_LEN:
-        raise SizeLimitError(f"length {m} exceeds limit {MAX_SCAN_LEN}")
 
 
 def distance_census(m: int, parallelism: int = 1) -> CensusResult:
@@ -274,11 +269,11 @@ def scan_conjectures(max_m: int, parallelism: int = 1) -> dict:
     }
 
 
-def fertility_demo(m: int, brute_limit: int = 4) -> dict:
+def fertility_demo(m: int) -> dict:
     """Preimage counts of the two witness families, by every available method.
 
     The permutation witness has 2m preimages, the word with the doubled 1 has
-    2m+1, under both operators.  Brute force runs only for m <= brute_limit.
+    2m+1, under both operators.  Brute force runs only for m <= FERTILITY_BRUTE_MAX.
     """
     start = time.perf_counter()
     entries = []
@@ -289,7 +284,7 @@ def fertility_demo(m: int, brute_limit: int = 4) -> dict:
             counts: dict[str, int | None] = {
                 "vhc": count_preimages_vhc(word, variant),
                 "trees": len(in_order_preimages(word, variant)),
-                "brute": len(brute_preimages(word, variant)) if m <= brute_limit else None,
+                "brute": len(brute_preimages(word, variant)) if m <= FERTILITY_BRUTE_MAX else None,
             }
             per_variant[variant.value] = counts
         entries.append(
@@ -302,7 +297,7 @@ def fertility_demo(m: int, brute_limit: int = 4) -> dict:
         )
     return {
         "experiment": "fertility-demo",
-        "parameters": {"m": m, "brute_limit": brute_limit},
+        "parameters": {"m": m, "brute_limit": FERTILITY_BRUTE_MAX},
         "words": entries,
         "elapsed_seconds": time.perf_counter() - start,
     }

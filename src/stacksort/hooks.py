@@ -204,7 +204,9 @@ def enumerate_vhc(
     """Yield every valid hook configuration passing the filter, exactly once.
 
     Canonical order: lexicographic in the configuration's (sw index, ne index)
-    sequence.
+    sequence.  Nothing streams: the depth-first search collects every
+    configuration and sorts them before the first is yielded, so memory grows
+    with their number.
     """
     if len(w) > limit:
         raise SizeLimitError(f"word length {len(w)} exceeds limit {limit}")
@@ -379,9 +381,7 @@ def brute_preimages(
     c = content(w)
     if word_space_size(c) > space_limit:
         raise SizeLimitError(f"|W_c| = {word_space_size(c)} exceeds limit {space_limit}")
-    return tuple(
-        u for u in enumerate_words(c, limit=len(w)) if sort_via_stack(u, variant) == w
-    )
+    return tuple(u for u in enumerate_words(c) if sort_via_stack(u, variant) == w)
 
 
 def in_order_preimages(
@@ -389,8 +389,8 @@ def in_order_preimages(
 ) -> list[Word]:
     """All preimages of w, read off the reconstructed trees (no brute force).
 
-    Distinct configurations and spawned tuples give distinct trees, so the
-    list has no duplicates.
+    Distinct configurations, and distinct class trees within one, give
+    distinct trees, so the list has no duplicates.
     """
     return [
         in_order(tree)
@@ -400,40 +400,14 @@ def in_order_preimages(
 
 
 @lru_cache(maxsize=None)
-def _shapes(n: int) -> tuple:
-    """All unlabeled binary tree shapes on n nodes, as nested (left, right) pairs."""
-    if n == 0:
-        return (None,)
-    out = []
-    for left_size in range(n):
-        for left in _shapes(left_size):
-            for right in _shapes(n - 1 - left_size):
-                out.append((left, right))
-    return tuple(out)
-
-
-def _label_shape(shape, labels: list[int]) -> PlaneTree | None:
-    """The unique labeling with the given labels whose postorder is increasing."""
-    it = iter(labels)
-
-    def walk(sh) -> PlaneTree | None:
-        if sh is None:
-            return None
-        left = walk(sh[0])
-        right = walk(sh[1])
-        return PlaneTree(next(it), left, right)
-
-    return walk(shape)
-
-
-@lru_cache(maxsize=None)
 def _shape_parents(n: int) -> tuple[tuple[int, ...], ...]:
-    """Parent links of every shape on n nodes, in `_shapes` order.
+    """Parent links of every binary tree shape on n nodes (Catalan(n) rows).
 
     Nodes are named by their postorder index t; entry t of a shape's row is
     2 * (parent's postorder index) + side (0 left, 1 right), or -1 at the root.
     A shape on n nodes is a left shape on a nodes (indices 0..a-1), a right
-    shape shifted to a..n-2, and the root n-1 above both subroots.
+    shape shifted to a..n-2, and the root n-1 above both subroots.  Rows come
+    by left size a = 0..n-1, then by left shape, then by right shape.
     """
     if n == 0:
         return ((),)
@@ -449,34 +423,6 @@ def _shape_parents(n: int) -> tuple[tuple[int, ...], ...]:
             for right in rights:
                 rows.append(left + right + (-1,))
     return tuple(rows)
-
-
-def _class_heights(w: Word, classes: list[list[int]]) -> list[list[int]]:
-    """Heights per color class, checking that they strictly increase (a theorem)."""
-    out = []
-    for positions in classes:
-        heights = [w[p - 1] for p in positions]
-        if any(a >= b for a, b in zip(heights, heights[1:])):
-            raise InvariantError(f"class heights not increasing: {heights}")
-        out.append(heights)
-    return out
-
-
-def spawn_tuples(
-    w: Word, config: HookConfig
-) -> Iterator[tuple[PlaneTree | None, ...]]:
-    """All tuples of per-color-class trees compatible with the configuration.
-
-    Class r contributes every binary shape on its |Q_r| points, labeled by the
-    class heights so that the postorder reads in increasing order; the tuple
-    count is the Catalan product of the induced composition.
-    """
-    classes = _class_positions(w, _require_valid(w, config))
-    per_class = [
-        [_label_shape(s, heights) for s in _shapes(len(heights))]
-        for heights in _class_heights(w, classes)
-    ]
-    yield from product(*per_class)
 
 
 def build_preimage_trees(
@@ -502,7 +448,10 @@ def build_preimage_trees(
 
     pairs = [(h.sw[0], h.ne[0]) for h in config]
     classes = _class_positions(w, pairs)
-    _class_heights(w, classes)
+    for positions in classes:  # heights strictly increase in each class (a theorem)
+        heights = [w[p - 1] for p in positions]
+        if any(a >= b for a, b in zip(heights, heights[1:])):
+            raise InvariantError(f"class heights not increasing: {heights}")
     sw_to_ne = dict(pairs)
     place: dict[int, tuple[int, int]] = {}  # position -> (class, index in class)
     for r, positions in enumerate(classes):

@@ -24,7 +24,6 @@ from itertools import product
 from typing import Callable, Iterator
 
 from .words import (
-    MAX_ENUM_SUM,
     ContentVector,
     DomainError,
     InvariantError,
@@ -32,6 +31,8 @@ from .words import (
     Word,
     content,
 )
+
+MAX_ENUM_SUM = 12  # largest word length whose class `image_pair_counts` takes on
 
 
 class SortVariant(Enum):

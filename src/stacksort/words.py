@@ -8,8 +8,12 @@ Everything here is pure and operates on plain tuples, so values can be hashed,
 compared, and shared freely.
 
 Exhaustive enumerators (`enumerate_words`, `enumerate_normalized`) are the
-oracle substrate for the rest of the package and refuse inputs beyond a size
-limit rather than silently grinding.
+oracle substrate for the rest of the package.  `enumerate_words` has no size
+cap of its own: each caller bounds its work where it knows how much is
+coming.  The brute-force passes refuse a class of more than `space_limit`
+words (default `MAX_SPACE`), and every exhaustive pass over the normalized
+words of one length, `enumerate_normalized` and the censuses alike, refuses a
+length above `MAX_SCAN_LEN` (`check_scan_length`).
 """
 
 from __future__ import annotations
@@ -23,8 +27,7 @@ Word = tuple[int, ...]
 ContentVector = tuple[int, ...]
 Pattern = tuple[int, ...]
 
-MAX_ENUM_SUM = 12
-MAX_NORMALIZED_LEN = 10
+MAX_SCAN_LEN = 10  # longest length of an exhaustive pass over normalized words
 MAX_SPACE = 2_000_000  # largest content class the brute-force passes exhaust
 
 _INF = float("inf")
@@ -223,7 +226,7 @@ def next_word(letters: list[int]) -> bool:
 
 
 def enumerate_words(
-    c: ContentVector, limit: int = MAX_ENUM_SUM, reject: Callable[[Word], int] | None = None
+    c: ContentVector, reject: Callable[[Word], int] | None = None
 ) -> Iterator[Word]:
     """Yield every word of content c exactly once, in lexicographic order.
 
@@ -237,8 +240,6 @@ def enumerate_words(
     u[:e] == w[:e] or the letter w[e-1] comes later in u; both give u the
     occurrence.
     """
-    if sum(c) > limit:
-        raise SizeLimitError(f"word length {sum(c)} exceeds limit {limit}")
     cur = list(identity(c))
     while True:
         w = tuple(cur)
@@ -260,19 +261,21 @@ def positive_compositions(m: int) -> Iterator[ContentVector]:
             yield (first,) + rest
 
 
-def enumerate_normalized(m: int, limit: int = MAX_NORMALIZED_LEN) -> Iterator[Word]:
-    """Yield every normalized word of length m exactly once.
+def check_scan_length(m: int) -> None:
+    """Refuse a length above MAX_SCAN_LEN; exhaustive passes over 1..m call it first."""
+    if m > MAX_SCAN_LEN:
+        raise SizeLimitError(f"length {m} exceeds limit {MAX_SCAN_LEN}")
+
+
+def enumerate_normalized(m: int) -> Iterator[Word]:
+    """Yield every normalized word of length m (at most MAX_SCAN_LEN) exactly once.
 
     Order is canonical: content vectors lexicographically, then words
     lexicographically within each content class.
     """
-    if m > limit:
-        raise SizeLimitError(f"length {m} exceeds limit {limit}")
-    if m == 0:
-        yield ()
-        return
+    check_scan_length(m)
     for c in positive_compositions(m):
-        yield from enumerate_words(c, limit=max(limit, MAX_ENUM_SUM))
+        yield from enumerate_words(c)
 
 
 def normalized_count(m: int) -> int:

@@ -1,3 +1,4 @@
+import doctest
 import json
 import shlex
 from pathlib import Path
@@ -225,10 +226,15 @@ def test_poisoned_cache_is_refused(tmp_path, capsys):
     assert counting._slow_memo == before
 
 
+def readme_block(section: str, fence: str) -> str:
+    """The first code block of one README section."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return text.split(section, 1)[1].split(fence, 1)[1].split("```", 1)[0]
+
+
 def readme_tour() -> list[str]:
     """The `stacksort ...` lines of the README's CLI code block."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    block = readme_block("## CLI", "```sh")
     return [line for line in block.splitlines() if line.startswith("stacksort ")]
 
 
@@ -242,3 +248,12 @@ def test_readme_tour_command_succeeds(line, capsys, monkeypatch):
     code, out, err = run(capsys, *shlex.split(line)[1:])
     assert code == 0, err
     assert out
+
+
+def test_readme_python_tour_runs_as_doctest():
+    block = readme_block("## Library quick tour", "```python")
+    test = doctest.DocTestParser().get_doctest(block, {}, "README quick tour", "README.md", 0)
+    assert len(test.examples) >= 7
+    report: list[str] = []
+    result = doctest.DocTestRunner().run(test, out=report.append)
+    assert result.failed == 0, "".join(report)

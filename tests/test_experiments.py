@@ -119,7 +119,8 @@ def test_fertility_demo_small():
 
 
 def test_fertility_demo_skips_brute_beyond_limit():
-    report = fertility_demo(2, brute_limit=1)
+    report = fertility_demo(5)
+    assert report["parameters"] == {"m": 5, "brute_limit": 4}
     for entry in report["words"]:
         assert entry["fast"]["brute"] is None
         assert entry["fast"]["vhc"] == entry["expected"]

@@ -28,9 +28,8 @@ from stacksort import (
     is_valid_config,
     parse_word,
     postorder,
-    spawn_tuples,
 )
-from stacksort.hooks import _label_shape, _shape_parents, _shapes, config_to_dict, filter_for
+from stacksort.hooks import _shape_parents, config_to_dict, filter_for
 
 FAST, SLOW = SortVariant.FAST, SortVariant.SLOW
 
@@ -135,7 +134,7 @@ def test_figure_configuration_of_211232124567():
     # one non-small horizontal hook: binary and slow-family but not fast-family
     assert is_valid_config(w, config, VhcFilter.L)
     assert not is_valid_config(w, config, VhcFilter.R)
-    assert sum(1 for _ in spawn_tuples(w, config)) == 25
+    assert sum(1 for _ in build_preimage_trees(w, config, SLOW)) == 25
 
 
 def test_fertility_witness_configurations():
@@ -187,27 +186,26 @@ def test_enumeration_order_is_canonical(normalized):
         assert keys == sorted(keys)
 
 
-def test_spawn_tuples_counts(normalized):
-    for m in range(1, 5):
+def test_build_preimage_trees_counts(normalized):
+    # each configuration spawns one tree per choice of class trees: a Catalan product
+    for m in range(1, 6):
         for w in normalized(m):
-            for config in enumerate_vhc(w, VhcFilter.ALL):
-                tuples = list(spawn_tuples(w, config))
-                assert len(tuples) == catalan_product(induced_composition(w, config))
-                classes = color_classes(w, config)
-                for trees in tuples:
-                    for positions, tree in zip(classes, trees):
-                        heights = [w[p - 1] for p in positions]
-                        assert postorder(tree) == tuple(heights)
-                        assert in_class(tree, TreeClass.R) and in_class(tree, TreeClass.L)
+            for variant in SortVariant:
+                for config in enumerate_vhc(w, filter_for(variant)):
+                    count = sum(1 for _ in build_preimage_trees(w, config, variant))
+                    assert count == catalan_product(induced_composition(w, config)), (
+                        w, config, variant)
 
 
-def test_spawn_single_and_double_classes():
+def test_build_preimage_trees_single_and_double_classes():
     w = (1, 1, 2)
     empty_hookless = list(enumerate_vhc((1, 2, 3), VhcFilter.ALL))
     assert empty_hookless == [()]
-    assert sum(1 for _ in spawn_tuples((1, 2, 3), ())) == catalan(3)
     config = make_config(w, [(1, 2)])
-    assert sum(1 for _ in spawn_tuples(w, config)) == 2  # one class of size 2
+    for variant in SortVariant:
+        assert sum(1 for _ in build_preimage_trees((1, 2, 3), (), variant)) == catalan(3)
+        # one class of size 2
+        assert sum(1 for _ in build_preimage_trees(w, config, variant)) == 2
 
 
 def test_build_preimage_trees_requires_family_membership():
@@ -268,23 +266,38 @@ def test_count_limits():
         count_preimages_vhc(w, SLOW)
 
 
+def _shapes(n):
+    """Binary tree shapes on n nodes as nested (left, right) pairs, by left size."""
+    if n == 0:
+        return [None]
+    return [(left, right) for a in range(n)
+            for left in _shapes(a) for right in _shapes(n - 1 - a)]
+
+
+def _parent_row(shape):
+    """2 * parent + side for each node of the shape, nodes named in postorder."""
+    row = []
+
+    def walk(sh):  # returns the postorder name of the subtree's root
+        if sh is None:
+            return None
+        kids = [walk(sh[0]), walk(sh[1])]
+        row.append(-1)
+        for side, kid in enumerate(kids):
+            if kid is not None:
+                row[kid] = 2 * (len(row) - 1) + side
+        return len(row) - 1
+
+    walk(shape)
+    return tuple(row)
+
+
 def test_shape_parent_tables_follow_shapes():
-    # row t of each table names the parent of postorder node t in the labeled shape
+    # row t of each table names the parent of postorder node t, shape by shape
     for n in range(0, 7):
-        rows = _shape_parents(n)
-        assert len(rows) == len(_shapes(n)) == catalan(n)
-        for shape, row in zip(_shapes(n), rows):
-            expected = [-1] * n
-            stack = [_label_shape(shape, list(range(n)))]
-            while stack:
-                node = stack.pop()
-                if node is None:
-                    continue
-                for side, child in enumerate((node.left, node.right)):
-                    if child is not None:
-                        expected[child.label] = 2 * node.label + side
-                        stack.append(child)
-            assert row == tuple(expected), (shape, row)
+        shapes = _shapes(n)
+        assert len(shapes) == catalan(n)
+        assert _shape_parents(n) == tuple(_parent_row(shape) for shape in shapes), n
 
 
 def test_enumerate_vhc_limit():

@@ -130,7 +130,7 @@ def test_brute_count_avoiders_matches_plain_filter(patterns):
     for c in contents:
         plain = sum(
             1
-            for w in enumerate_words(c, limit=sum(c))
+            for w in enumerate_words(c)
             if not any(contains_by_definition(w, p) for p in patterns)
         )
         assert brute_count_avoiders(c, patterns) == plain, (c, patterns)
@@ -151,9 +151,9 @@ def test_enumerate_words_is_lex_and_complete(c):
     assert all(content(w) == c for w in ws)  # c carries no trailing zeros here
 
 
-def test_enumerate_words_limit():
-    with pytest.raises(SizeLimitError):
-        list(enumerate_words((13,), limit=12))
+def test_enumerate_words_has_no_length_cap():
+    # the class size, not the word length, is what costs: W_(13) is one word
+    assert list(enumerate_words((13,))) == [(1,) * 13]
 
 
 def test_enumerate_normalized_counts(normalized):
