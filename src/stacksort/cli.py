@@ -5,24 +5,26 @@ output (--format json; count tables also speak csv).  Words are given as
 digit strings when all letters fit in one digit, otherwise space or comma
 separated.  Exit codes: 0 success, 1 domain error, 2 size-limit refusal,
 usage error or unreadable cache file.
+
+Each command imports the library modules it calls, and no others, so a run
+pays start-up only for the code it uses.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
-from . import counting, experiments, hooks, sorting, words
-from .hooks import VhcFilter
-from .sorting import SortVariant
+from . import words
 
 CACHE_ENV = "STACKSORT_CACHE"
 
 
-def _variant(name: str) -> SortVariant:
-    return SortVariant(name)
+def _print_json(payload, indent: int | None = None) -> None:
+    import json
+
+    print(json.dumps(payload, indent=indent))
 
 
 def _int_at_least(low: int):
@@ -50,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--parallel", type=_int_at_least(1), default=1, metavar="N",
                         help="worker processes for the search experiments (default 1, "
                         "at most the number of CPUs)")
-    parser.add_argument("--limit", type=int, default=hooks.MAX_VHC_LEN, metavar="LEN",
+    parser.add_argument("--limit", type=int, default=words.MAX_VHC_LEN, metavar="LEN",
                         help="maximum word length for configuration enumeration and "
                         "preimage listing (the dp count has no cap)")
     parser.add_argument("--space-limit", type=int, default=words.MAX_SPACE, metavar="SIZE",
@@ -117,13 +119,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sort(args) -> None:
+    from . import sorting
+
     w = words.parse_word(args.word)
-    variant = _variant(args.map)
+    variant = sorting.SortVariant(args.map)
     chain = [w]
     for _ in range(args.steps):
         chain.append(sorting.sort_via_stack(chain[-1], variant))
     if args.format == "json":
-        print(json.dumps({"map": args.map, "chain": [words.format_word(u) for u in chain]}))
+        _print_json({"map": args.map, "chain": [words.format_word(u) for u in chain]})
     elif args.trace:
         for step, u in enumerate(chain):
             prefix = f"  ={args.map}=> " if step else ""
@@ -133,19 +137,23 @@ def _cmd_sort(args) -> None:
 
 
 def _cmd_distance(args) -> None:
+    from . import sorting
+
     w = words.parse_word(args.word)
-    fast_d = sorting.distance(w, SortVariant.FAST)
-    slow_d = sorting.distance(w, SortVariant.SLOW)
+    fast_d = sorting.distance(w, sorting.SortVariant.FAST)
+    slow_d = sorting.distance(w, sorting.SortVariant.SLOW)
     if args.format == "json":
-        print(json.dumps({"word": words.format_word(w), "fast": fast_d,
-                          "slow": slow_d, "gap": fast_d - slow_d}))
+        _print_json({"word": words.format_word(w), "fast": fast_d,
+                     "slow": slow_d, "gap": fast_d - slow_d})
     else:
         print(f"fast={fast_d} slow={slow_d} gap={fast_d - slow_d}")
 
 
 def _cmd_preimages(args) -> None:
+    from . import hooks, sorting
+
     w = words.parse_word(args.word)
-    variant = _variant(args.map)
+    variant = sorting.SortVariant(args.map)
     preimage_list: list[tuple[int, ...]] | None = None
     if args.method in ("dp", "vhc"):
         if args.method == "dp":
@@ -167,7 +175,7 @@ def _cmd_preimages(args) -> None:
     if args.list_words and preimage_list is not None:
         payload["preimages"] = [words.format_word(u) for u in preimage_list]
     if args.format == "json":
-        print(json.dumps(payload))
+        _print_json(payload)
     else:
         print(count)
         if args.list_words and preimage_list is not None:
@@ -176,8 +184,10 @@ def _cmd_preimages(args) -> None:
 
 
 def _cmd_vhc(args) -> None:
+    from . import hooks
+
     w = words.parse_word(args.word)
-    configs = list(hooks.enumerate_vhc(w, VhcFilter(args.filter), limit=args.limit))
+    configs = list(hooks.enumerate_vhc(w, hooks.VhcFilter(args.filter), limit=args.limit))
     rendered = []
     for config in configs:
         entry = hooks.config_to_dict(w, config)
@@ -186,8 +196,8 @@ def _cmd_vhc(args) -> None:
             entry["classes"] = hooks.color_classes(w, config)
         rendered.append(entry)
     if args.format == "json":
-        print(json.dumps({"word": words.format_word(w), "filter": args.filter,
-                          "count": len(configs), "configs": rendered}, indent=2))
+        _print_json({"word": words.format_word(w), "filter": args.filter,
+                     "count": len(configs), "configs": rendered}, indent=2)
     else:
         print(f"{len(configs)} configuration(s)")
         for entry in rendered:
@@ -201,12 +211,14 @@ def _cmd_vhc(args) -> None:
 
 
 def _cmd_count_sortable(args) -> None:
+    from . import counting
+
     c = tuple(args.content)
     fast_n = counting.count_fast_sortable(c)
     slow_n = counting.count_slow_sortable(c)
     value = fast_n if args.map == "fast" else slow_n
     if args.format == "json":
-        print(json.dumps({"content": list(c), "map": args.map, "count": str(value)}))
+        _print_json({"content": list(c), "map": args.map, "count": str(value)})
     elif args.format == "csv":
         print("content,fast_sortable,slow_sortable")
         print(f"\"{' '.join(map(str, c))}\",{fast_n},{slow_n}")
@@ -215,6 +227,8 @@ def _cmd_count_sortable(args) -> None:
 
 
 def _cmd_uniform(args) -> None:
+    from . import counting
+
     value = counting.fuss_catalan(args.ell, args.n)
     payload: dict = {"ell": args.ell, "n": args.n, "count": str(value)}
     if args.check:
@@ -224,14 +238,16 @@ def _cmd_uniform(args) -> None:
         payload["direct_enumeration"] = str(direct)
         payload["match"] = direct == value
     if args.format == "json":
-        print(json.dumps(payload))
+        _print_json(payload)
     else:
         print(value)
         if args.check:
             print(f"direct={payload['direct_enumeration']} match={payload['match']}")
 
 
-def _parse_rule(args) -> counting.GenTreeSpec:
+def _parse_rule(args):
+    from . import counting
+
     if args.rule == "fibonacci":
         return counting.FIBONACCI_TREE
     if args.rule == "catalan-power":
@@ -250,16 +266,20 @@ def _parse_rule(args) -> counting.GenTreeSpec:
 
 
 def _cmd_gentree(args) -> None:
+    from . import counting
+
     spec = _parse_rule(args)
     sizes = counting.generating_tree_level_counts(spec, args.depth)
     if args.format == "json":
-        print(json.dumps({"axiom": spec.axiom, "depth": args.depth,
-                          "level_counts": [str(s) for s in sizes]}))
+        _print_json({"axiom": spec.axiom, "depth": args.depth,
+                     "level_counts": [str(s) for s in sizes]})
     else:
         print(" ".join(str(s) for s in sizes))
 
 
 def _cmd_exceptional(args) -> None:
+    from . import experiments
+
     experiments.check_scan_length(args.max_len)
     reports = [
         experiments.find_exceptional(m, parallelism=args.parallel)
@@ -280,6 +300,8 @@ def _cmd_exceptional(args) -> None:
 
 
 def _cmd_gap_census(args) -> None:
+    from . import experiments
+
     report = experiments.gap_census(args.length, args.gap, parallelism=args.parallel)
     if args.format == "json":
         print(experiments.report_json(report))
@@ -288,13 +310,18 @@ def _cmd_gap_census(args) -> None:
 
 
 def _cmd_conjectures(args) -> None:
+    from . import experiments
+
     report = experiments.scan_conjectures(args.max_len, parallelism=args.parallel)
     if args.format == "json":
         print(experiments.report_json(report))
         return
     for key in ("gap_length_bound", "double_slow_bound"):
         block = report[key]
-        status = block["counterexample"] or "no counterexample"
+        status = "no counterexample"
+        if block["violations"]:
+            status = (f"{block['violations']} violation(s) of \"{block['statement']}\", "
+                      f"first {block['counterexample']}")
         print(f"{key}: {status} (checked {report['exceptional_checked']} exceptional words)")
     for entry in report["ratios"]:
         print(f"m={entry['length']} ratio={entry['ratio']}")
@@ -302,6 +329,8 @@ def _cmd_conjectures(args) -> None:
 
 
 def _cmd_fertility_demo(args) -> None:
+    from . import experiments
+
     report = experiments.fertility_demo(args.m)
     if args.format == "json":
         print(experiments.report_json(report))
@@ -338,12 +367,15 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
 
 def main(argv: list[str] | None = None) -> int:
     args = parse_args(argv)
-    if args.cache and os.path.exists(args.cache):
-        try:
-            counting.load_memo(args.cache)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot load cache file {args.cache}: {exc}", file=sys.stderr)
-            return 2
+    if args.cache:
+        from . import counting
+
+        if os.path.exists(args.cache):
+            try:
+                counting.load_memo(args.cache)
+            except (OSError, ValueError) as exc:
+                print(f"error: cannot load cache file {args.cache}: {exc}", file=sys.stderr)
+                return 2
     try:
         _HANDLERS[args.command](args)
     except words.SizeLimitError as exc:

@@ -5,12 +5,12 @@ and in one slow pass iff it avoids both 231 and 221, so the counters here are
 equally counters of pattern-avoiding words with prescribed content.  Both
 recurrences condition on how the copies of the largest letter split the word.
 All arithmetic is exact (Python integers); memo tables live for the process
-and can be persisted to a JSON file purely as a warm-start optimization.
+and can be persisted to a JSON file purely as a warm-start optimization
+(`json` is imported only then).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import comb
 from typing import Callable, Mapping, Sequence
@@ -41,16 +41,7 @@ def count_fast_sortable(c: ContentVector) -> int:
     """
     if any(k < 0 for k in c):
         raise DomainError("content entries must be nonnegative")
-    return _fast_count(tuple(c))
-
-
-def _fast_count(c: ContentVector) -> int:
-    if len(c) <= 1:
-        return 1
-    cached = _fast_memo.get(c)
-    if cached is None:
-        cached = _fast_memo[c] = _fast_step(c, _fast_count)
-    return cached
+    return _evaluate(tuple(c), _fast_memo, _fast_step)
 
 
 def _fast_step(c: ContentVector, count: Callable[[ContentVector], int]) -> int:
@@ -71,16 +62,7 @@ def count_slow_sortable(c: ContentVector) -> int:
     """
     if any(k < 0 for k in c):
         raise DomainError("content entries must be nonnegative")
-    return _slow_count(tuple(k for k in c if k))
-
-
-def _slow_count(c: ContentVector) -> int:
-    if len(c) <= 1:
-        return 1
-    cached = _slow_memo.get(c)
-    if cached is None:
-        cached = _slow_memo[c] = _slow_step(c, _slow_count)
-    return cached
+    return _evaluate(tuple(k for k in c if k), _slow_memo, _slow_step)
 
 
 def _slow_step(c: ContentVector, count: Callable[[ContentVector], int]) -> int:
@@ -93,6 +75,50 @@ def _slow_step(c: ContentVector, count: Callable[[ContentVector], int]) -> int:
         for k in range(1, c[i - 1]):
             value += count(c[: i - 1] + (k,)) * count((c[i - 1] - k,) + c[i:-1])
     return value
+
+
+class _Missing(Exception):
+    """A subterm that a recurrence step reads is not in the memo yet."""
+
+
+def _evaluate(
+    c: ContentVector,
+    memo: dict[ContentVector, int],
+    step: Callable[[ContentVector, Callable[[ContentVector], int]], int],
+) -> int:
+    """The recurrence's value at c, memoizing every subterm it reads
+    (length >= 2), on an explicit stack instead of Python recursion.
+
+    A step reads its subterms through a lookup that raises _Missing for one
+    not in the memo; that subterm is pushed and the step runs again once it
+    is stored.  So each step runs to completion once, and an aborted run
+    stops at a subterm that is stored before the run is repeated: there are
+    at most as many aborted runs as new entries.  The memo ends up holding
+    the same entries as a memoized recursion would store.
+    """
+    if len(c) <= 1:
+        return 1
+    value = memo.get(c)
+    if value is not None:
+        return value
+
+    def count(d: ContentVector) -> int:
+        if len(d) <= 1:
+            return 1
+        value = memo.get(d)
+        if value is None:
+            raise _Missing(d)
+        return value
+
+    pending = [c]
+    while pending:
+        try:
+            memo[pending[-1]] = step(pending[-1], count)
+        except _Missing as exc:
+            pending.append(exc.args[0])
+        else:
+            pending.pop()
+    return memo[c]
 
 
 def fuss_catalan(ell: int, n: int) -> int:
@@ -187,6 +213,8 @@ def brute_count_avoiders(
 
 
 def save_memo(path: str) -> None:
+    import json
+
     data = {
         "fast": {",".join(map(str, k)): str(v) for k, v in _fast_memo.items()},
         "slow": {",".join(map(str, k)): str(v) for k, v in _slow_memo.items()},
@@ -202,6 +230,8 @@ def load_memo(path: str) -> None:
     recurrences, raises ValueError (json.JSONDecodeError for bad JSON) and
     leaves the tables untouched.
     """
+    import json
+
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):

@@ -16,18 +16,17 @@ changing output: partitions are merged in canonical (lexicographic content)
 order regardless of worker scheduling.  Reports are plain dicts with a fixed
 key order so identical inputs yield byte-identical JSON once the timing field
 is dropped.
+
+`multiprocessing`, `fractions`, `json` and `hooks` are imported inside the
+functions that use them, so a command-line run loads only what it calls.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
-from multiprocessing import get_context
 
-from .hooks import brute_preimages, count_preimages_vhc, in_order_preimages
 from .sorting import (
     SortVariant,
     distance,
@@ -148,6 +147,8 @@ def distance_census(m: int, parallelism: int = 1) -> CensusResult:
         return cached
     contents = list(positive_compositions(m))
     if parallelism > 1 and len(contents) > 1:
+        from multiprocessing import get_context
+
         with get_context("fork").Pool(parallelism) as pool:
             parts = pool.map(_census_content, contents, chunksize=1)
     else:
@@ -167,6 +168,8 @@ def distance_census(m: int, parallelism: int = 1) -> CensusResult:
 
 def ratio_text(num: int, den: int, places: int = 6) -> str:
     """Decimal rendering of num/den to `places` places, exact until rounding."""
+    from fractions import Fraction
+
     scaled = round(Fraction(num, den) * 10**places)
     return f"{scaled // 10**places}.{scaled % 10**places:0{places}d}"
 
@@ -223,6 +226,8 @@ def scan_conjectures(max_m: int, parallelism: int = 1) -> dict:
     distance at most twice the slow distance minus 2.  The third conjecture
     is monotonicity of the exceptional ratios; the scan reports the sequence.
     """
+    from fractions import Fraction
+
     check_scan_length(max_m)
     start = time.perf_counter()
     gap_bound_violations: list[Word] = []
@@ -275,6 +280,8 @@ def fertility_demo(m: int) -> dict:
     The permutation witness has 2m preimages, the word with the doubled 1 has
     2m+1, under both operators.  Brute force runs only for m <= FERTILITY_BRUTE_MAX.
     """
+    from .hooks import brute_preimages, count_preimages_vhc, in_order_preimages
+
     start = time.perf_counter()
     entries = []
     for extra_one, expected in ((False, 2 * m), (True, 2 * m + 1)):
@@ -325,6 +332,8 @@ def verify_exceptional_pattern_claim(m: int, parallelism: int = 1) -> dict:
 
 def report_json(report: dict, include_timing: bool = True) -> str:
     """Serialize a report with stable field order; timing is droppable."""
+    import json
+
     if not include_timing:
         report = {k: v for k, v in report.items() if k != "elapsed_seconds"}
     return json.dumps(report, indent=2)

@@ -51,6 +51,7 @@ from .sorting import SortVariant, sort_via_stack
 from .trees import PlaneTree, in_order
 from .words import (
     MAX_SPACE,
+    MAX_VHC_LEN,  # re-exported: the default listing bound here
     DomainError,
     InvariantError,
     SizeLimitError,
@@ -62,8 +63,6 @@ from .words import (
 
 PlotPoint = tuple[int, int]
 Composition = tuple[int, ...]
-
-MAX_VHC_LEN = 12
 
 
 @dataclass(frozen=True)

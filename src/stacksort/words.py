@@ -29,6 +29,7 @@ Pattern = tuple[int, ...]
 
 MAX_SCAN_LEN = 10  # longest length of an exhaustive pass over normalized words
 MAX_SPACE = 2_000_000  # largest content class the brute-force passes exhaust
+MAX_VHC_LEN = 12  # longest word whose hook configurations or preimages are listed
 
 _INF = float("inf")
 
@@ -262,7 +263,10 @@ def positive_compositions(m: int) -> Iterator[ContentVector]:
 
 
 def check_scan_length(m: int) -> None:
-    """Refuse a length above MAX_SCAN_LEN; exhaustive passes over 1..m call it first."""
+    """Refuse a negative length or one above MAX_SCAN_LEN; exhaustive passes
+    over 1..m call it first."""
+    if m < 0:
+        raise DomainError(f"length must be nonnegative, got {m}")
     if m > MAX_SCAN_LEN:
         raise SizeLimitError(f"length {m} exceeds limit {MAX_SCAN_LEN}")
 

@@ -1,10 +1,14 @@
 import doctest
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import stacksort
 from stacksort import catalan, cli, counting, experiments, parse_word
 from stacksort.cli import main
 
@@ -189,6 +193,35 @@ def test_scan_past_length_limit_is_refused_before_any_census(monkeypatch, capsys
     assert out == "" and censuses == []
 
 
+@pytest.mark.parametrize("argv", [["gap-census", "--len", "-3", "--gap", "1"],
+                                  ["exceptional", "--max-len", "-2"],
+                                  ["conjectures", "--max-len", "-1"]])
+def test_negative_scan_length_is_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "nonnegative" in err
+
+
+# The eight length-10 words with (fast, slow) distances (5, 3) that break
+# fast <= 2*slow - 2; the length-10 census itself is not run here.
+DOUBLE_SLOW_VIOLATORS = ["4883772561", "4883775261", "4887372561", "4887375261",
+                         "8483772561", "8483775261", "8487372561", "8487375261"]
+
+
+def test_conjectures_names_the_failed_statement(monkeypatch, capsys):
+    report = experiments.scan_conjectures(7)
+    report["exceptional_checked"] = 124751
+    report["double_slow_bound"].update(counterexample=DOUBLE_SLOW_VIOLATORS[0],
+                                       violations=len(DOUBLE_SLOW_VIOLATORS))
+    monkeypatch.setattr(experiments, "scan_conjectures", lambda m, parallelism=1: report)
+    code, out, _ = run(capsys, "conjectures", "--max-len", "10")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "gap_length_bound: no counterexample (checked 124751 exceptional words)"
+    assert lines[1] == ('double_slow_bound: 8 violation(s) of "fast <= 2 * slow - 2 for words '
+                        'with fast > slow", first 4883772561 (checked 124751 exceptional words)')
+
+
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -257,3 +290,76 @@ def test_readme_python_tour_runs_as_doctest():
     report: list[str] = []
     result = doctest.DocTestRunner().run(test, out=report.append)
     assert result.failed == 0, "".join(report)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def modules_loaded_by(code: str) -> set[str]:
+    """Modules a fresh interpreter with the checkout's src/ on its path loads
+    while running `code`, beyond those it loads to run nothing."""
+    probe = code + "\nimport sys\nprint()\nprint(' '.join(sys.modules))"
+
+    def loaded(source: str) -> set[str]:
+        proc = subprocess.run([sys.executable, "-c", source], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.splitlines()[-1].split())
+
+    return loaded(probe) - loaded("import sys\nprint(' '.join(sys.modules))")
+
+
+def test_import_loads_no_submodule():
+    assert {m for m in modules_loaded_by("import stacksort") if m.startswith("stacksort.")} == set()
+
+
+@pytest.mark.parametrize("argv, unwanted", [
+    (["distance", "3662451"], {"stacksort.hooks", "stacksort.experiments", "stacksort.counting",
+                               "multiprocessing", "fractions"}),
+    (["exceptional", "--max-len", "3"], {"multiprocessing", "stacksort.hooks"}),
+])
+def test_command_loads_only_what_it_runs(argv, unwanted):
+    loaded = modules_loaded_by(f"from stacksort import cli\nassert cli.main({argv!r}) == 0")
+    assert "stacksort.cli" in loaded
+    assert loaded & unwanted == set()
+
+
+PUBLIC_API = {
+    "counting": ["FIBONACCI_TREE", "GenTreeSpec", "brute_count_avoiders", "count_fast_sortable",
+                 "count_slow_sortable", "fuss_catalan", "generating_tree_level_counts",
+                 "uniform_avoider_tree"],
+    "experiments": ["CensusResult", "distance_census", "fertility_demo", "find_exceptional",
+                    "gap_census", "scan_conjectures", "verify_exceptional_pattern_claim"],
+    "hooks": ["Hook", "HookConfig", "VhcFilter", "brute_preimages", "build_preimage_trees",
+              "catalan", "catalan_product", "color_classes", "count_preimages",
+              "count_preimages_vhc", "descent_tops", "enumerate_vhc", "in_order_preimages",
+              "induced_coloring", "induced_composition", "is_valid_config"],
+    "sorting": ["SortVariant", "collapse_letters", "distance", "distance_bound",
+                "exceptional_family", "fertility_witness", "image_pair_counts", "sort_fast",
+                "sort_permutation", "sort_slow", "sort_via_stack", "standardize_ascending",
+                "standardize_descending", "worst_case_word"],
+    "trees": ["PlaneTree", "TreeClass", "in_class", "in_order", "postorder", "sort_via_trees",
+              "tree_class_for", "tree_from_text", "tree_to_text", "word_to_tree"],
+    "words": ["ContentVector", "DomainError", "InvariantError", "Pattern", "SizeLimitError",
+              "Word", "contains_pattern", "content", "enumerate_normalized", "enumerate_words",
+              "format_word", "identity", "is_normalized", "normalized_count", "parse_word",
+              "positive_compositions", "word_space_size"],
+}
+
+
+def test_public_api_resolves_to_the_defining_modules(monkeypatch):
+    names = sorted([*PUBLIC_API, *(n for ns in PUBLIC_API.values() for n in ns)])
+    assert len(names) == 78 and stacksort.__all__ == names
+    assert set(names) <= set(dir(stacksort)) and stacksort.__version__ == "0.1.0"
+    star: dict = {}
+    exec("from stacksort import *", star)
+    for module_name, module_names in PUBLIC_API.items():
+        module = sys.modules[f"stacksort.{module_name}"]
+        assert getattr(stacksort, module_name) is module is star[module_name]
+        for name in module_names:
+            assert getattr(stacksort, name) is getattr(module, name) is star[name]
+    # the package reads the defining module on every access, so it never goes stale
+    monkeypatch.setattr(stacksort.hooks, "catalan", len)
+    assert stacksort.catalan is len
+    with pytest.raises(AttributeError):
+        stacksort.no_such_name

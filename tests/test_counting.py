@@ -9,6 +9,7 @@ from stacksort import (
     GenTreeSpec,
     SortVariant,
     brute_count_avoiders,
+    catalan,
     count_fast_sortable,
     count_slow_sortable,
     distance,
@@ -223,3 +224,35 @@ def test_load_memo_refuses_entries_without_their_subterms(tmp_path):
     with pytest.raises(ValueError):
         counting.load_memo(str(path))
     assert counting._slow_memo == {}
+
+
+def recursive_memo(c, step):
+    """The entries a plain memoized recursion over `step` stores for c."""
+    memo = {}
+
+    def count(d):
+        if len(d) <= 1:
+            return 1
+        if d not in memo:
+            memo[d] = step(d, count)
+        return memo[d]
+
+    count(c)
+    return memo
+
+
+@pytest.mark.parametrize("c", [(2, 1, 2), (3, 0, 2, 0, 1), (1, 1, 1, 1, 1, 1), (4, 3, 2, 1)])
+def test_recurrences_memoize_what_the_recursion_stores(c):
+    counting.clear_memo()
+    count_fast_sortable(c)
+    count_slow_sortable(c)
+    assert counting._fast_memo == recursive_memo(c, counting._fast_step)
+    assert counting._slow_memo == recursive_memo(tuple(k for k in c if k), counting._slow_step)
+
+
+def test_recurrences_need_no_python_recursion():
+    # both chains are deeper than the interpreter's recursion limit
+    counting.clear_memo()
+    assert count_fast_sortable((1, 1500)) == 1501
+    assert count_slow_sortable((1,) * 600) == catalan(600)
+    counting.clear_memo()

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from stacksort import (
+    DomainError,
     SizeLimitError,
     SortVariant,
     distance,
@@ -145,6 +146,19 @@ def test_census_size_limit():
         distance_census(11)
     with pytest.raises(SizeLimitError):
         verify_exceptional_pattern_claim(11)
+
+
+@pytest.mark.parametrize("scan", [distance_census, find_exceptional, scan_conjectures,
+                                  verify_exceptional_pattern_claim,
+                                  lambda m: gap_census(m, 1)])
+def test_negative_scan_length_is_a_domain_error(scan):
+    with pytest.raises(DomainError):
+        scan(-1)
+
+
+def test_length_zero_scan_is_the_empty_word():
+    assert find_exceptional(0)["normalized_words"] == 1
+    assert gap_census(0, 0)["count"] == 1
 
 
 LENGTH_TEN_HISTOGRAM = {

@@ -173,6 +173,9 @@ def test_normalized_count_large():
 def test_enumerate_normalized_limit():
     with pytest.raises(SizeLimitError):
         list(enumerate_normalized(11))
+    with pytest.raises(DomainError):
+        list(enumerate_normalized(-1))
+    assert list(enumerate_normalized(0)) == [()]
 
 
 def test_identity_avoids_sortability_patterns():
