@@ -214,14 +214,15 @@ def _cmd_count_sortable(args) -> None:
     from . import counting
 
     c = tuple(args.content)
-    fast_n = counting.count_fast_sortable(c)
-    slow_n = counting.count_slow_sortable(c)
-    value = fast_n if args.map == "fast" else slow_n
+    if args.format == "csv":  # the row carries both counts
+        print("content,fast_sortable,slow_sortable")
+        print(f"\"{' '.join(map(str, c))}\",{counting.count_fast_sortable(c)},"
+              f"{counting.count_slow_sortable(c)}")
+        return
+    count = counting.count_fast_sortable if args.map == "fast" else counting.count_slow_sortable
+    value = count(c)
     if args.format == "json":
         _print_json({"content": list(c), "map": args.map, "count": str(value)})
-    elif args.format == "csv":
-        print("content,fast_sortable,slow_sortable")
-        print(f"\"{' '.join(map(str, c))}\",{fast_n},{slow_n}")
     else:
         print(value)
 

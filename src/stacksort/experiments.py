@@ -5,8 +5,8 @@ both sorting distances, and aggregates the gap (fast distance minus slow
 distance) into a histogram, keeping the words where the slow operator wins
 outright.  It sorts no word: per content class, `image_pair_counts` gives the
 (fast image, slow image) pairs with the number of words behind each, a
-word's distance is one more than its image's, and the images' distances come
-from `distance` with a memo per class.  Only the pairs where slow wins are
+word's distance is one more than its image's, and `distances` walks each
+distinct image once per operator.  Only the pairs where slow wins are
 expanded back into their words.  Everything downstream (the exceptional-word
 census, gap counts, conjecture scans) reads off one such scan, which is
 cached per length in-process.
@@ -29,7 +29,7 @@ from itertools import product
 
 from .sorting import (
     SortVariant,
-    distance,
+    distances,
     fertility_witness,
     image_pair_counts,
     sort_via_stack,
@@ -66,24 +66,27 @@ def _census_content(c: tuple[int, ...]) -> tuple[dict[int, int], list, int]:
     so no word is sorted.  A word's distance is one more than its image's
     (the identity's is 0, but it is its own image under both operators and
     lands at gap 0 either way), so a pair (f, s) adds its count at gap
-    d_fast(f) - d_slow(s).  The image distances come from `distance`, with
-    a memo per class and operator.  Only the pairs with a positive gap are
-    expanded back into words.
+    d_fast(f) - d_slow(s).  `distances` walks the distinct fast images once
+    and the distinct slow images once.  Only the pairs with a positive gap
+    are expanded back into words.
     """
     block_pairs: dict = {}
     pairs = image_pair_counts(c, block_pairs)
-    fast_memo: dict[Word, int] = {}
-    slow_memo: dict[Word, int] = {}
+    fast_d = _image_distances([f for f, _ in pairs], SortVariant.FAST)
+    slow_d = _image_distances([s for _, s in pairs], SortVariant.SLOW)
     hist: dict[int, int] = {}
     wanted: dict[tuple[Word, Word], tuple[int, int]] = {}
     for (f, s), count in pairs.items():
-        fast_d = distance(f, SortVariant.FAST, fast_memo) + 1
-        slow_d = distance(s, SortVariant.SLOW, slow_memo) + 1
-        gap = fast_d - slow_d
+        gap = fast_d[f] - slow_d[s]
         hist[gap] = hist.get(gap, 0) + count
         if gap > 0:
-            wanted[f, s] = (fast_d, slow_d)
+            wanted[f, s] = (fast_d[f] + 1, slow_d[s] + 1)
     return hist, _words_with_pairs(c, wanted, block_pairs), sum(hist.values())
+
+
+def _image_distances(images: list[Word], variant: SortVariant) -> dict[Word, int]:
+    distinct = list(dict.fromkeys(images))
+    return dict(zip(distinct, distances(distinct, variant)))
 
 
 def _words_with_pairs(

@@ -12,16 +12,19 @@ stack of segments so that long words do not hit the recursion limit), and a
 linear-time stack machine (the production path).  `image_pair_counts` applies
 the same split to a whole content class at once: it counts the pairs (fast
 image, slow image) over W_c from the pairs of the blocks, without sorting any
-word.  `distance` counts how many applications are needed to reach the
-nondecreasing identity word; it is bounded by the number of letters exceeding
-1 in the content, and a dedicated worst-case word meets the bound.
+word, and merges the first two blocks once per content, since both images
+see them only through their concatenations.  `distance` counts how many
+applications are needed to reach the nondecreasing identity word; it is
+bounded by the number of letters exceeding 1 in the content, and a dedicated
+worst-case word meets the bound.  `distances` does the same for many words
+of one content, walking each word on their paths once.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from itertools import product
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .words import (
     ContentVector,
@@ -122,55 +125,84 @@ def image_pair_counts(c: ContentVector, memo: dict | None = None) -> dict[tuple[
         slow(w) = slow(A_1) slow(A_2) n slow(A_3) n ... n slow(A_{k+1}) n,
 
     the word form of West's s(LnR) = s(L) s(R) n.  So the pair of w depends
-    only on the pairs of its blocks.  Summing over every split of the other
-    letters into k + 1 block contents, each split contributes every
-    combination of its blocks' pairs, with the product of their
-    multiplicities.  The counts of a block content are computed once and kept
-    in `memo`, keyed by the content without trailing zeros; pass a dict to
-    read them back.
+    only on the pairs of its blocks, and the first two blocks enter both
+    images only through their concatenations.  For each content b, the
+    two-block counts P2(b) merge the pairs (fast(A_1) fast(A_2),
+    slow(A_1) slow(A_2)) over every split of b into (A_1, A_2); they are
+    computed once per call.  A class with k = 1 is P2 of the smaller letters
+    with n appended to both images.  For k >= 2, the class sums over every
+    split of the smaller letters into k parts, the merged first two blocks
+    and one part per later block, each split contributing every combination
+    of its parts' pairs with the product of their multiplicities.  The n's
+    of the slow image then cut it back into its parts, so no pair arises
+    twice: a repeat raises `InvariantError`.  The counts of a block content
+    are kept in `memo`, keyed by the content without trailing zeros; pass a
+    dict to read them back.
     """
     c = _strip_zeros(tuple(c))
     if any(k < 0 for k in c):
         raise DomainError("content entries must be nonnegative")
     if sum(c) > MAX_ENUM_SUM:
         raise SizeLimitError(f"word length {sum(c)} exceeds limit {MAX_ENUM_SUM}")
-    return _pair_counts(c, {} if memo is None else memo)
+    return _pair_counts(c, {} if memo is None else memo, {})
 
 
-def _pair_counts(c: ContentVector, memo: dict) -> dict[tuple[Word, Word], int]:
+def _pair_counts(c: ContentVector, memo: dict, merged: dict) -> dict[tuple[Word, Word], int]:
     got = memo.get(c)
     if got is not None:
         return got
-    out: dict[tuple[Word, Word], int] = {}
     if not c:
-        out[(), ()] = 1
+        out = {((), ()): 1}
+    elif c[-1] == 1:
+        sep = (len(c),)
+        out = {(f + sep, s + sep): x
+               for (f, s), x in _two_block_counts(_strip_zeros(c[:-1]), memo, merged).items()}
     else:
         n, k = len(c), c[-1]
         sep, tail = (n,), (n,) * k
-        for blocks in _largest_letter_splits(c):
-            first, *rest = [_pair_counts(b, memo) for b in blocks]
-            acc = [(f, s, x) for (f, s), x in first.items()]
-            for part in rest:
-                acc = [(f + g, s + t + sep, x * y) for f, s, x in acc for (g, t), y in part.items()]
+        out = {}
+        for first, *middle, last in _splits(_strip_zeros(c[:-1]), k):
+            acc = [(f, s, x) for (f, s), x in _two_block_counts(first, memo, merged).items()]
+            for b in middle:
+                part = _pair_counts(b, memo, merged).items()
+                acc = [(f + g, s + sep + t, x * y) for f, s, x in acc for (g, t), y in part]
+            part = _pair_counts(last, memo, merged).items()
             for f, s, x in acc:
-                key = (f + tail, s)
-                out[key] = out.get(key, 0) + x
+                s += sep
+                for (g, t), y in part:
+                    key = (f + g + tail, s + t + sep)
+                    if key in out:  # the slow image fixes the split: a theorem
+                        raise InvariantError(f"pair {key} arises twice in W_{c}")
+                    out[key] = x * y
     memo[c] = out
     return out
 
 
-def _largest_letter_splits(c: ContentVector) -> Iterator[tuple[ContentVector, ...]]:
-    """The block contents (b_1, ..., b_{k+1}) of the words A_1 n ... n A_{k+1} in W_c.
+def _two_block_counts(b: ContentVector, memo: dict, merged: dict) -> dict[tuple[Word, Word], int]:
+    """P2(b): the pairs (fast(A_1) fast(A_2), slow(A_1) slow(A_2)) over every
+    split of b into block contents (A_1, A_2), merged, with multiplicities."""
+    got = merged.get(b)
+    if got is None:
+        got = merged[b] = {}
+        for b1, b2 in _splits(b, 2):
+            second = _pair_counts(b2, memo, merged).items()
+            for (f, s), x in _pair_counts(b1, memo, merged).items():
+                for (g, t), y in second:
+                    key = (f + g, s + t)
+                    got[key] = got.get(key, 0) + x * y
+    return got
 
-    n = len(c) is the largest letter and k = c[-1] > 0 its copies; every way
-    to share out the smaller letters among the k + 1 blocks appears once.
-    Block contents carry no trailing zeros, so () is the empty block.
+
+def _splits(c: ContentVector, parts: int) -> Iterator[tuple[ContentVector, ...]]:
+    """Every way to share out the letters of c among `parts` block contents.
+
+    Each way appears once.  Block contents carry no trailing zeros, so () is
+    the empty block.
     """
-    k = c[-1]
-    shares = [list(_weak_compositions(x, k + 1)) for x in c[:-1]]
+    shares = [list(_weak_compositions(x, parts)) for x in c]
     for choice in product(*shares):
         if not choice:
-            yield ((),) * (k + 1)
+            yield ((),) * parts
         else:
             yield tuple(_strip_zeros(block) for block in zip(*choice))
 
@@ -259,31 +291,41 @@ def distance_bound(c: ContentVector, variant: SortVariant) -> int:
     return sum(c[1:])
 
 
-def distance(w: Word, variant: SortVariant, memo: dict[Word, int] | None = None) -> int:
-    """Minimal k with sort^k(w) equal to the identity word of w's content.
+def distance(w: Word, variant: SortVariant) -> int:
+    """Minimal k with sort^k(w) equal to the identity word of w's content."""
+    return distances((w,), variant)[0]
 
-    With `memo` (known distances under `variant` of words of w's content),
-    the walk stops at the identity or at the first word already in the memo,
-    and every word on the path is stored: each new word costs one pass.
+
+def distances(words: Iterable[Word], variant: SortVariant) -> list[int]:
+    """The distance of each word, for words that all share one content.
+
+    The identity word and the bound are computed once.  Each walk stops at
+    the first word whose distance is known (the identity is known at 0), and
+    every word on its path is kept, so each new word costs one stack pass.
+    Every returned distance is checked against the bound, a theorem; a word
+    of another content never reaches a known word, so its walk trips the
+    check.
     """
-    target = tuple(sorted(w))  # the identity word of w's content
-    bound = distance_bound(content(w), variant)
-    path: list[Word] = []
-    cur = w
-    known = 0
-    while cur != target and len(path) <= bound:
-        if memo is not None and (d := memo.get(cur)) is not None:
-            known = d
-            break
-        path.append(cur)
-        cur = sort_via_stack(cur, variant)
-    k = known + len(path)
-    if k > bound:  # termination within the bound is a theorem
-        raise InvariantError(f"sorting {w} exceeded the distance bound {bound}")
-    if memo is not None:
+    words = list(words)
+    if not words:
+        return []
+    target = tuple(sorted(words[0]))  # the identity word of the content
+    bound = distance_bound(content(target), variant)
+    known = {target: 0}
+    out = []
+    for w in words:
+        path: list[Word] = []
+        cur = w
+        while (d := known.get(cur)) is None and len(path) <= bound:
+            path.append(cur)
+            cur = sort_via_stack(cur, variant)
+        if d is None or d + len(path) > bound:
+            raise InvariantError(f"sorting {w} exceeded the distance bound {bound}")
+        d += len(path)
         for i, u in enumerate(path):
-            memo[u] = k - i
-    return k
+            known[u] = d - i
+        out.append(d)
+    return out
 
 
 def worst_case_word(c: ContentVector) -> Word:

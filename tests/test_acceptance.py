@@ -2,10 +2,11 @@
 
 Each test prints one PASS/FAIL line.  The corpora are exhaustive (normalized
 words up to length 9 for the censuses), so the full module takes about
-45 s; run it with `pytest tests/test_acceptance.py -v -s`.
+35 s; run it with `pytest tests/test_acceptance.py -v -s`.
 """
 
 import functools
+import hashlib
 import os
 from itertools import permutations
 from math import comb
@@ -141,6 +142,27 @@ def test_criterion_3_exceptional_census(census):
         assert census(m).gap_histogram.get(2, 0) == 0
         assert max(census(m).gap_histogram) <= 1
     assert census(9).total == normalized_count(9) == 7087261
+
+
+# The whole census at lengths 8 and 9, pinned by figures computed before the
+# two-block merge of `image_pair_counts`: the gap histogram, and the sha256 of
+# the lines "<word> <fast> <slow>\n" of the exceptional words in census order.
+CENSUS_PINS = {
+    8: ({-6: 1, -5: 137, -4: 2405, -3: 17157, -2: 70205, -1: 187143, 0: 268615, 1: 172},
+        "c66c99c3e13329186822413692a644a0375569f000814efbe68f114565f944f0"),
+    9: ({-7: 1, -6: 308, -5: 7771, -4: 70173, -3: 343165, -2: 1101014, -1: 2459539,
+         0: 3100289, 1: 4929, 2: 72},
+        "8234f7e77046b7ceeda7ccb6b2838bf22b0a1fddf4e9bd9357cd6a37c644d48e"),
+}
+
+
+def test_census_lengths_eight_and_nine_are_pinned(census):
+    # reads the censuses criterion 3 cached in this process
+    for m, (histogram, digest) in CENSUS_PINS.items():
+        result = census(m)
+        assert result.gap_histogram == histogram, m
+        lines = "".join(f"{format_word(w)} {df} {ds}\n" for w, df, ds in result.exceptional)
+        assert hashlib.sha256(lines.encode()).hexdigest() == digest, m
 
 
 @criterion(4, "worst-case families meet the distance bounds; bounds hold everywhere, sum <= 8")

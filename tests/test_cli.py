@@ -127,6 +127,21 @@ def test_count_sortable_csv(capsys):
     assert lines[1] == '"2 2",6,3'
 
 
+def test_count_sortable_runs_only_the_recurrence_it_prints(monkeypatch, capsys):
+    def refuse(c):
+        raise AssertionError("this recurrence is not printed")
+
+    monkeypatch.setattr(counting, "count_fast_sortable", refuse)
+    code, out, _ = run(capsys, "count-sortable", "--map", "slow", "2", "2", "2")
+    assert code == 0 and out.strip() == "12"
+    code, out, _ = run(capsys, "--format", "json", "count-sortable", "--map", "slow", "2", "2")
+    assert code == 0 and json.loads(out)["count"] == "3"
+    monkeypatch.undo()
+    monkeypatch.setattr(counting, "count_slow_sortable", refuse)
+    code, out, _ = run(capsys, "count-sortable", "--map", "fast", "2", "2")
+    assert code == 0 and out.strip() == "6"
+
+
 def test_uniform(capsys):
     code, out, _ = run(capsys, "uniform", "--ell", "2", "--n", "2", "--check")
     lines = out.strip().splitlines()

@@ -15,6 +15,7 @@ from stacksort import (
     SortVariant,
     collapse_letters,
     content,
+    count_preimages,
     distance,
     distance_bound,
     enumerate_words,
@@ -39,6 +40,8 @@ from stacksort import (
     word_to_tree,
     worst_case_word,
 )
+from stacksort import sorting
+from stacksort.sorting import distances
 
 FAST, SLOW = SortVariant.FAST, SortVariant.SLOW
 
@@ -172,50 +175,96 @@ def test_distance_examples():
     assert distance((), FAST) == 0
 
 
-def test_distance_memo_keeps_the_path():
+def test_distance_memo_keeps_the_path(monkeypatch):
+    # `distances` keeps every word it walks through: one pass per new word
     w = parse_word("3662451")
     chain = [w]
     for _ in range(4):
         chain.append(sort_via_stack(chain[-1], FAST))
-    memo: dict = {}
-    assert distance(w, FAST, memo) == 4
-    assert memo == {u: 4 - i for i, u in enumerate(chain[:4])}  # the identity is not stored
+    passes: list = []  # the input of each stack pass
+
+    def counted(u, variant):
+        passes.append(u)
+        return sort_via_stack(u, variant)
+
+    monkeypatch.setattr(sorting, "sort_via_stack", counted)
+    assert distances(chain[:4], FAST) == [4, 3, 2, 1]
+    assert passes == [w, *chain[1:4]]  # the identity is known from the start
     # the walk stops at the first word it knows
-    memo = {chain[1]: 3}
-    assert distance(w, FAST, memo) == 4
-    assert memo == {w: 4, chain[1]: 3}
-    assert distance(identity((2, 2, 3)), SLOW, {}) == 0
+    passes.clear()
+    assert distances([chain[1], w, chain[2]], FAST) == [3, 4, 2]
+    assert passes == [chain[1], chain[2], chain[3], w]
+    passes.clear()
+    assert distances([identity((2, 2, 3))], SLOW) == [0] and passes == []
+    assert distances([], FAST) == []
 
 
-def test_distance_memo_values_are_bound_checked():
-    # (2, 1) has fast bound 1; a memo claiming more fails the check
+def test_distance_memo_values_are_bound_checked(monkeypatch):
+    # a walk that ends at a known word is checked with the known distance added
+    w = parse_word("3662451")
+    chain = [w, sort_via_stack(w, FAST)]
+    chain.append(sort_via_stack(chain[-1], FAST))
+    monkeypatch.setattr(sorting, "distance_bound", lambda c, variant: 2)
+    assert distances([chain[2]], FAST) == [2]
     with pytest.raises(InvariantError):
-        distance((2, 1), FAST, {(2, 1): 2})
+        distances([chain[2], w], FAST)  # 2 known + 2 walked
     with pytest.raises(InvariantError):
-        distance((2, 2, 1), SLOW, {(2, 1, 2): 3})
+        distance(w, FAST)
 
 
-def test_image_pair_counts_match_sorting_every_word():
-    # the split formulas against both stack passes on every word of the class
-    contents = [c for m in range(8) for c in positive_compositions(m)]
-    contents += [(0, 2, 2), (2, 0, 1), (1, 0), (0, 0, 3, 0, 1)]
-    for c in contents:
-        expected = Counter(
-            (sort_via_stack(w, FAST), sort_via_stack(w, SLOW)) for w in enumerate_words(c)
-        )
-        assert image_pair_counts(c) == expected, c
+def test_distances_match_a_walk_per_word():
+    # every image of every class of length <= 7, against a plain loop per word
+    for m in range(8):
+        for c in positive_compositions(m):
+            target = identity(c)
+            pairs = image_pair_counts(c)
+            for variant, images in ((FAST, {f for f, _ in pairs}), (SLOW, {s for _, s in pairs})):
+                images = sorted(images)
+                expected = []
+                for u in images:
+                    k = 0
+                    while u != target:
+                        u, k = sort_via_stack(u, variant), k + 1
+                    expected.append(k)
+                assert distances(images, variant) == expected, (c, variant)
 
 
-def test_image_pair_counts_memo_and_limits():
-    memo: dict = {}
-    pairs = image_pair_counts((1, 2, 0, 0), memo)
-    assert memo[(1, 2)] is pairs  # keys carry no trailing zeros
-    assert memo[()] == {((), ()): 1}
-    assert sum(pairs.values()) == 3
-    with pytest.raises(DomainError):
-        image_pair_counts((1, -1, 2))
-    with pytest.raises(SizeLimitError):
-        image_pair_counts((13,))
+def test_distances_refuse_a_mixed_content_batch():
+    with pytest.raises(InvariantError):
+        distances([(2, 1, 2), (2, 1)], SLOW)
+    with pytest.raises(InvariantError):
+        distances([(1, 2), (1, 1, 2)], FAST)
+
+
+def test_image_pair_counts_refuse_a_repeated_pair(monkeypatch):
+    # with k >= 2 copies of the largest letter the slow image fixes the split,
+    # so a split offered twice must raise rather than double a count
+    splits = sorting._splits
+
+    def twice(c, parts):
+        for split in splits(c, parts):
+            yield split
+            yield split
+
+    monkeypatch.setattr(sorting, "_splits", twice)
+    with pytest.raises(InvariantError):
+        image_pair_counts((1, 2))
+
+
+def test_image_pair_counts_agree_with_the_preimage_dp():
+    # the words behind each image, summed over the pairs, are its preimages
+    checked = 0
+    for m in range(1, 8):
+        for c in positive_compositions(m):
+            by_image: dict = {FAST: Counter(), SLOW: Counter()}
+            for (f, s), count in image_pair_counts(c).items():
+                by_image[FAST][f] += count
+                by_image[SLOW][s] += count
+            for variant, counts in by_image.items():
+                for image, count in counts.items():
+                    assert count_preimages(image, variant) == count, (image, variant)
+                checked += len(counts)
+    assert checked == 9540
 
 
 def test_sorting_reduces_to_permutation_sorting(normalized):
