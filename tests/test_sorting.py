@@ -212,6 +212,29 @@ def test_distance_memo_values_are_bound_checked(monkeypatch):
         distance(w, FAST)
 
 
+def test_image_pair_counts_match_sorting_every_word():
+    # the split formulas against both stack passes on every word of the class
+    contents = [c for m in range(8) for c in positive_compositions(m)]
+    contents += [(0, 2, 2), (2, 0, 1), (1, 0), (0, 0, 3, 0, 1)]
+    for c in contents:
+        expected = Counter(
+            (sort_via_stack(w, FAST), sort_via_stack(w, SLOW)) for w in enumerate_words(c)
+        )
+        assert image_pair_counts(c) == expected, c
+
+
+def test_image_pair_counts_memo_and_limits():
+    memo: dict = {}
+    pairs = image_pair_counts((1, 2, 0, 0), memo)
+    assert memo[(1, 2)] is pairs  # keys carry no trailing zeros
+    assert memo[()] == {((), ()): 1}
+    assert sum(pairs.values()) == 3
+    with pytest.raises(DomainError):
+        image_pair_counts((1, -1, 2))
+    with pytest.raises(SizeLimitError):
+        image_pair_counts((13,))
+
+
 def test_distances_match_a_walk_per_word():
     # every image of every class of length <= 7, against a plain loop per word
     for m in range(8):
