@@ -32,6 +32,7 @@ _EXPORTS = {
         "fertility_demo",
         "find_exceptional",
         "gap_census",
+        "image_pair_counts",
         "scan_conjectures",
         "verify_exceptional_pattern_claim",
     ),
@@ -60,7 +61,6 @@ _EXPORTS = {
         "distance_bound",
         "exceptional_family",
         "fertility_witness",
-        "image_pair_counts",
         "sort_fast",
         "sort_permutation",
         "sort_slow",
@@ -77,7 +77,6 @@ _EXPORTS = {
         "postorder",
         "sort_via_trees",
         "tree_class_for",
-        "tree_from_text",
         "tree_to_text",
         "word_to_tree",
     ),

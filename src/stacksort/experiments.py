@@ -7,9 +7,9 @@ outright.  It sorts no word: per content class, `image_pair_counts` gives the
 (fast image, slow image) pairs with the number of words behind each, a
 word's distance is one more than its image's, and `distances` walks each
 distinct image once per operator.  Only the pairs where slow wins are
-expanded back into their words.  Everything downstream (the exceptional-word
-census, gap counts, conjecture scans) reads off one such scan, which is
-cached per length in-process.
+expanded back into their words, by the same split at the largest letter.
+Everything downstream (the exceptional-word census, gap counts, conjecture
+scans) reads off one such scan, which is cached per length in-process.
 
 Scans partition the word space by content vector, so they parallelize without
 changing output: partitions are merged in canonical (lexicographic content)
@@ -26,16 +26,20 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import product
+from typing import Iterator
 
 from .sorting import (
     SortVariant,
     distances,
     fertility_witness,
-    image_pair_counts,
     sort_via_stack,
 )
 from .words import (
     MAX_SCAN_LEN,  # re-exported: the length bound of every scan here
+    ContentVector,
+    DomainError,
+    InvariantError,
+    SizeLimitError,
     Word,
     check_scan_length,
     contains_pattern,
@@ -47,6 +51,7 @@ from .words import (
 
 WITNESS_CAP = 1000
 FERTILITY_BRUTE_MAX = 4  # fertility_demo runs brute force for m up to this
+MAX_ENUM_SUM = 12  # largest word length whose class `image_pair_counts` takes on
 
 
 @dataclass
@@ -59,19 +64,126 @@ class CensusResult:
     exceptional: list[tuple[Word, int, int]]  # (word, fast distance, slow distance)
 
 
+def image_pair_counts(c: ContentVector) -> dict[tuple[Word, Word], int]:
+    """The pairs (sort_fast(w), sort_slow(w)) over w in W_c, with multiplicities.
+
+    Write w = A_1 n A_2 n ... n A_{k+1} with n the largest letter (k copies).
+    The two definitions give
+
+        fast(w) = fast(A_1) fast(A_2) ... fast(A_{k+1}) n^k,
+        slow(w) = slow(A_1) slow(A_2) n slow(A_3) n ... n slow(A_{k+1}) n,
+
+    the word form of West's s(LnR) = s(L) s(R) n.  So the pair of w depends
+    only on the pairs of its blocks, and the first two blocks enter both
+    images only through their concatenations.  For each content b, the
+    two-block counts P2(b) merge the pairs (fast(A_1) fast(A_2),
+    slow(A_1) slow(A_2)) over every split of b into (A_1, A_2); they are
+    computed once per call.  A class with k = 1 is P2 of the smaller letters
+    with n appended to both images.  For k >= 2, the class sums over every
+    split of the smaller letters into k parts, the merged first two blocks
+    and one part per later block, each split contributing every combination
+    of its parts' pairs with the product of their multiplicities.  The n's
+    of the slow image then cut it back into its parts, so no pair arises
+    twice: a repeat raises `InvariantError`.
+    """
+    c = _strip_zeros(tuple(c))
+    if any(k < 0 for k in c):
+        raise DomainError("content entries must be nonnegative")
+    if sum(c) > MAX_ENUM_SUM:
+        raise SizeLimitError(f"word length {sum(c)} exceeds limit {MAX_ENUM_SUM}")
+    return _pair_counts(c, {}, {})
+
+
+def _pair_counts(c: ContentVector, memo: dict, merged: dict) -> dict[tuple[Word, Word], int]:
+    """The pairs of W_c, for c without trailing zeros.  `memo` keeps the pairs
+    of every block content met, under that same key; `merged` keeps P2."""
+    got = memo.get(c)
+    if got is not None:
+        return got
+    if not c:
+        out = {((), ()): 1}
+    elif c[-1] == 1:
+        sep = (len(c),)
+        out = {(f + sep, s + sep): x
+               for (f, s), x in _two_block_counts(_strip_zeros(c[:-1]), memo, merged).items()}
+    else:
+        n, k = len(c), c[-1]
+        sep, tail = (n,), (n,) * k
+        out = {}
+        for first, *middle, last in _splits(_strip_zeros(c[:-1]), k):
+            acc = [(f, s, x) for (f, s), x in _two_block_counts(first, memo, merged).items()]
+            for b in middle:
+                part = _pair_counts(b, memo, merged).items()
+                acc = [(f + g, s + sep + t, x * y) for f, s, x in acc for (g, t), y in part]
+            part = _pair_counts(last, memo, merged).items()
+            for f, s, x in acc:
+                s += sep
+                for (g, t), y in part:
+                    key = (f + g + tail, s + t + sep)
+                    if key in out:  # the slow image fixes the split: a theorem
+                        raise InvariantError(f"pair {key} arises twice in W_{c}")
+                    out[key] = x * y
+    memo[c] = out
+    return out
+
+
+def _two_block_counts(b: ContentVector, memo: dict, merged: dict) -> dict[tuple[Word, Word], int]:
+    """P2(b): the pairs (fast(A_1) fast(A_2), slow(A_1) slow(A_2)) over every
+    split of b into block contents (A_1, A_2), merged, with multiplicities."""
+    got = merged.get(b)
+    if got is None:
+        got = merged[b] = {}
+        for b1, b2 in _splits(b, 2):
+            second = _pair_counts(b2, memo, merged).items()
+            for (f, s), x in _pair_counts(b1, memo, merged).items():
+                for (g, t), y in second:
+                    key = (f + g, s + t)
+                    got[key] = got.get(key, 0) + x * y
+    return got
+
+
+def _splits(c: ContentVector, parts: int) -> Iterator[tuple[ContentVector, ...]]:
+    """Every way to share out the letters of c among `parts` block contents.
+
+    Each way appears once.  Block contents carry no trailing zeros, so () is
+    the empty block.
+    """
+    shares = [list(_weak_compositions(x, parts)) for x in c]
+    for choice in product(*shares):
+        if not choice:
+            yield ((),) * parts
+        else:
+            yield tuple(_strip_zeros(block) for block in zip(*choice))
+
+
+def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _weak_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _strip_zeros(c: ContentVector) -> ContentVector:
+    end = len(c)
+    while end and not c[end - 1]:
+        end -= 1
+    return c[:end]
+
+
 def _census_content(c: tuple[int, ...]) -> tuple[dict[int, int], list, int]:
     """Scan one content class through its (fast image, slow image) pair counts.
 
-    `image_pair_counts` gives every pair with the number of words behind it,
-    so no word is sorted.  A word's distance is one more than its image's
-    (the identity's is 0, but it is its own image under both operators and
-    lands at gap 0 either way), so a pair (f, s) adds its count at gap
-    d_fast(f) - d_slow(s).  `distances` walks the distinct fast images once
-    and the distinct slow images once.  Only the pairs with a positive gap
-    are expanded back into words.
+    A word's distance is one more than its image's (the identity's is 0, but
+    it is its own image under both operators and lands at gap 0 either way),
+    so a pair (f, s) adds its count at gap d_fast(f) - d_slow(s).
+    `distances` walks the distinct fast images once and the distinct slow
+    images once.  Only the pairs with a positive gap are expanded back into
+    words, through the block pairs kept in `memo`.
     """
-    block_pairs: dict = {}
-    pairs = image_pair_counts(c, block_pairs)
+    memo: dict = {}
+    pairs = _pair_counts(c, memo, {})
     fast_d = _image_distances([f for f, _ in pairs], SortVariant.FAST)
     slow_d = _image_distances([s for _, s in pairs], SortVariant.SLOW)
     hist: dict[int, int] = {}
@@ -81,7 +193,7 @@ def _census_content(c: tuple[int, ...]) -> tuple[dict[int, int], list, int]:
         hist[gap] = hist.get(gap, 0) + count
         if gap > 0:
             wanted[f, s] = (fast_d[f] + 1, slow_d[s] + 1)
-    return hist, _words_with_pairs(c, wanted, block_pairs), sum(hist.values())
+    return hist, _words_with_pairs(c, wanted, memo), sum(hist.values())
 
 
 def _image_distances(images: list[Word], variant: SortVariant) -> dict[Word, int]:
@@ -95,13 +207,12 @@ def _words_with_pairs(
     """The words of W_c whose pair is in `wanted`, with their distances, in
     lexicographic order.
 
-    The pair (f, s) of w = A_1 n A_2 n ... n A_{k+1} cuts back into the pairs
-    of its blocks.  No block holds an n, so the n's of s cut it into
-    slow(A_1) slow(A_2), slow(A_3), ..., slow(A_{k+1}); only the length of
-    A_1 is free.  Each choice of it cuts f = fast(A_1) ... fast(A_{k+1}) n^k
-    as well, and gives words iff every piece is a pair of its block's
-    content.  The block words behind each such piece are listed once per
-    block content, by enumeration and two stack passes.
+    The n's of s cut it into slow(A_1) slow(A_2), slow(A_3), ...,
+    slow(A_{k+1}) (see `image_pair_counts`); only the length of A_1 is free.
+    Each choice of it cuts f as well, and gives words iff every piece is a
+    pair of its block's content in `block_pairs`.  The block words behind
+    each such piece are listed once per block content, by enumeration and
+    two stack passes.
     """
     n = len(c)
     listed: dict[tuple[int, ...], dict[tuple[Word, Word], list[Word]]] = {}
@@ -333,10 +444,8 @@ def verify_exceptional_pattern_claim(m: int, parallelism: int = 1) -> dict:
     }
 
 
-def report_json(report: dict, include_timing: bool = True) -> str:
-    """Serialize a report with stable field order; timing is droppable."""
+def report_json(report: dict) -> str:
+    """Serialize a report with stable field order."""
     import json
 
-    if not include_timing:
-        report = {k: v for k, v in report.items() if k != "elapsed_seconds"}
     return json.dumps(report, indent=2)

@@ -9,11 +9,7 @@ two coincide with the classical deterministic stack-sorting map.
 Each operator is implemented twice: the recursive definition that splits at
 the occurrences of the largest letter (the oracle, evaluated with an explicit
 stack of segments so that long words do not hit the recursion limit), and a
-linear-time stack machine (the production path).  `image_pair_counts` applies
-the same split to a whole content class at once: it counts the pairs (fast
-image, slow image) over W_c from the pairs of the blocks, without sorting any
-word, and merges the first two blocks once per content, since both images
-see them only through their concatenations.  `distance` counts how many
+linear-time stack machine (the production path).  `distance` counts how many
 applications are needed to reach the nondecreasing identity word; it is
 bounded by the number of letters exceeding 1 in the content, and a dedicated
 worst-case word meets the bound.  `distances` does the same for many words
@@ -23,19 +19,15 @@ of one content, walking each word on their paths once.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import product
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .words import (
     ContentVector,
     DomainError,
     InvariantError,
-    SizeLimitError,
     Word,
     content,
 )
-
-MAX_ENUM_SUM = 12  # largest word length whose class `image_pair_counts` takes on
 
 
 class SortVariant(Enum):
@@ -113,114 +105,6 @@ def sort_via_stack(w: Word, variant: SortVariant) -> Word:
     while stack:
         out.append(stack.pop())
     return tuple(out)
-
-
-def image_pair_counts(c: ContentVector, memo: dict | None = None) -> dict[tuple[Word, Word], int]:
-    """The pairs (sort_fast(w), sort_slow(w)) over w in W_c, with multiplicities.
-
-    Write w = A_1 n A_2 n ... n A_{k+1} with n the largest letter (k copies).
-    The two definitions give
-
-        fast(w) = fast(A_1) fast(A_2) ... fast(A_{k+1}) n^k,
-        slow(w) = slow(A_1) slow(A_2) n slow(A_3) n ... n slow(A_{k+1}) n,
-
-    the word form of West's s(LnR) = s(L) s(R) n.  So the pair of w depends
-    only on the pairs of its blocks, and the first two blocks enter both
-    images only through their concatenations.  For each content b, the
-    two-block counts P2(b) merge the pairs (fast(A_1) fast(A_2),
-    slow(A_1) slow(A_2)) over every split of b into (A_1, A_2); they are
-    computed once per call.  A class with k = 1 is P2 of the smaller letters
-    with n appended to both images.  For k >= 2, the class sums over every
-    split of the smaller letters into k parts, the merged first two blocks
-    and one part per later block, each split contributing every combination
-    of its parts' pairs with the product of their multiplicities.  The n's
-    of the slow image then cut it back into its parts, so no pair arises
-    twice: a repeat raises `InvariantError`.  The counts of a block content
-    are kept in `memo`, keyed by the content without trailing zeros; pass a
-    dict to read them back.
-    """
-    c = _strip_zeros(tuple(c))
-    if any(k < 0 for k in c):
-        raise DomainError("content entries must be nonnegative")
-    if sum(c) > MAX_ENUM_SUM:
-        raise SizeLimitError(f"word length {sum(c)} exceeds limit {MAX_ENUM_SUM}")
-    return _pair_counts(c, {} if memo is None else memo, {})
-
-
-def _pair_counts(c: ContentVector, memo: dict, merged: dict) -> dict[tuple[Word, Word], int]:
-    got = memo.get(c)
-    if got is not None:
-        return got
-    if not c:
-        out = {((), ()): 1}
-    elif c[-1] == 1:
-        sep = (len(c),)
-        out = {(f + sep, s + sep): x
-               for (f, s), x in _two_block_counts(_strip_zeros(c[:-1]), memo, merged).items()}
-    else:
-        n, k = len(c), c[-1]
-        sep, tail = (n,), (n,) * k
-        out = {}
-        for first, *middle, last in _splits(_strip_zeros(c[:-1]), k):
-            acc = [(f, s, x) for (f, s), x in _two_block_counts(first, memo, merged).items()]
-            for b in middle:
-                part = _pair_counts(b, memo, merged).items()
-                acc = [(f + g, s + sep + t, x * y) for f, s, x in acc for (g, t), y in part]
-            part = _pair_counts(last, memo, merged).items()
-            for f, s, x in acc:
-                s += sep
-                for (g, t), y in part:
-                    key = (f + g + tail, s + t + sep)
-                    if key in out:  # the slow image fixes the split: a theorem
-                        raise InvariantError(f"pair {key} arises twice in W_{c}")
-                    out[key] = x * y
-    memo[c] = out
-    return out
-
-
-def _two_block_counts(b: ContentVector, memo: dict, merged: dict) -> dict[tuple[Word, Word], int]:
-    """P2(b): the pairs (fast(A_1) fast(A_2), slow(A_1) slow(A_2)) over every
-    split of b into block contents (A_1, A_2), merged, with multiplicities."""
-    got = merged.get(b)
-    if got is None:
-        got = merged[b] = {}
-        for b1, b2 in _splits(b, 2):
-            second = _pair_counts(b2, memo, merged).items()
-            for (f, s), x in _pair_counts(b1, memo, merged).items():
-                for (g, t), y in second:
-                    key = (f + g, s + t)
-                    got[key] = got.get(key, 0) + x * y
-    return got
-
-
-def _splits(c: ContentVector, parts: int) -> Iterator[tuple[ContentVector, ...]]:
-    """Every way to share out the letters of c among `parts` block contents.
-
-    Each way appears once.  Block contents carry no trailing zeros, so () is
-    the empty block.
-    """
-    shares = [list(_weak_compositions(x, parts)) for x in c]
-    for choice in product(*shares):
-        if not choice:
-            yield ((),) * parts
-        else:
-            yield tuple(_strip_zeros(block) for block in zip(*choice))
-
-
-def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _strip_zeros(c: ContentVector) -> ContentVector:
-    end = len(c)
-    while end and not c[end - 1]:
-        end -= 1
-    return c[:end]
 
 
 def sort_permutation(p: Word) -> Word:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .sorting import SortVariant
-from .words import DomainError, Word
+from .words import Word
 
 
 @dataclass(frozen=True)
@@ -144,46 +144,3 @@ def tree_to_text(t: PlaneTree | None) -> str:
         else:
             todo += [")", item.right, " ", item.left, f"({item.label} "]
     return "".join(parts)
-
-
-def tree_from_text(text: str) -> PlaneTree | None:
-    """Parse the `tree_to_text` format.
-
-    Nodes still open sit on an explicit stack with the subtrees finished so
-    far, so deep trees do not hit the recursion limit.
-    """
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
-
-    def take() -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise DomainError(f"truncated tree text: {text!r}")
-        pos += 1
-        return tokens[pos - 1]
-
-    open_nodes: list[tuple[int, list[PlaneTree | None]]] = []  # label, finished children
-    while True:
-        tok = take()
-        if tok == "(":
-            tok = take()
-            try:
-                open_nodes.append((int(tok), []))
-            except ValueError:
-                raise DomainError(f"bad label {tok!r} in tree text: {text!r}") from None
-            continue
-        if tok != ".":
-            raise DomainError(f"unexpected token {tok!r} in tree text: {text!r}")
-        node = None
-        # a finished subtree completes every open node it is the second child of
-        while open_nodes and len(open_nodes[-1][1]) == 1:
-            if take() != ")":
-                raise DomainError(f"missing ')' in tree text: {text!r}")
-            label, (left,) = open_nodes.pop()
-            node = PlaneTree(label, left, node)
-        if not open_nodes:
-            break
-        open_nodes[-1][1].append(node)
-    if pos != len(tokens):
-        raise DomainError(f"trailing tokens in tree text: {text!r}")
-    return node

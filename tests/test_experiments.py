@@ -1,25 +1,35 @@
 import hashlib
 import os
+from collections import Counter
 
 import pytest
 
 from stacksort import (
     DomainError,
+    InvariantError,
     SizeLimitError,
     SortVariant,
+    count_preimages,
     distance,
     distance_census,
     enumerate_normalized,
+    enumerate_words,
+    experiments,
     fertility_demo,
     find_exceptional,
     format_word,
     gap_census,
+    image_pair_counts,
     normalized_count,
     parse_word,
+    positive_compositions,
     scan_conjectures,
+    sort_via_stack,
     verify_exceptional_pattern_claim,
 )
 from stacksort.experiments import ratio_text, report_json
+
+FAST, SLOW = SortVariant.FAST, SortVariant.SLOW
 
 E7 = {"3662451", "3664251", "6362451", "6364251"}
 
@@ -72,8 +82,6 @@ def test_exceptional_words_recheck():
 
 def test_parallel_census_matches_serial():
     serial = distance_census(6)
-    from stacksort import experiments
-
     experiments._census_cache.pop(6, None)
     parallel = distance_census(6, parallelism=2)
     assert parallel.gap_histogram == serial.gap_histogram
@@ -101,11 +109,62 @@ def test_scan_conjectures_small():
 
 
 def test_reports_are_deterministic():
-    a = report_json(find_exceptional(7), include_timing=False)
-    b = report_json(find_exceptional(7), include_timing=False)
-    assert a == b
-    assert "elapsed_seconds" not in a
-    assert "elapsed_seconds" in report_json(find_exceptional(7))
+    a, b = find_exceptional(7), find_exceptional(7)
+    assert "elapsed_seconds" in report_json(a)
+    del a["elapsed_seconds"], b["elapsed_seconds"]
+    assert report_json(a) == report_json(b)
+
+
+def test_image_pair_counts_match_sorting_every_word():
+    # the split formulas against both stack passes on every word of the class
+    contents = [c for m in range(8) for c in positive_compositions(m)]
+    contents += [(0, 2, 2), (2, 0, 1), (1, 0), (0, 0, 3, 0, 1)]
+    for c in contents:
+        expected = Counter(
+            (sort_via_stack(w, FAST), sort_via_stack(w, SLOW)) for w in enumerate_words(c)
+        )
+        assert image_pair_counts(c) == expected, c
+
+
+def test_image_pair_counts_limits_and_trailing_zeros():
+    assert image_pair_counts((1, 2, 0, 0)) == image_pair_counts((1, 2))
+    assert sum(image_pair_counts((1, 2)).values()) == 3
+    assert image_pair_counts(()) == {((), ()): 1}
+    with pytest.raises(DomainError):
+        image_pair_counts((1, -1, 2))
+    with pytest.raises(SizeLimitError):
+        image_pair_counts((13,))
+
+
+def test_image_pair_counts_refuse_a_repeated_pair(monkeypatch):
+    # with k >= 2 copies of the largest letter the slow image fixes the split,
+    # so a split offered twice must raise rather than double a count
+    splits = experiments._splits
+
+    def twice(c, parts):
+        for split in splits(c, parts):
+            yield split
+            yield split
+
+    monkeypatch.setattr(experiments, "_splits", twice)
+    with pytest.raises(InvariantError):
+        image_pair_counts((1, 2))
+
+
+def test_image_pair_counts_agree_with_the_preimage_dp():
+    # the words behind each image, summed over the pairs, are its preimages
+    checked = 0
+    for m in range(1, 8):
+        for c in positive_compositions(m):
+            by_image: dict = {FAST: Counter(), SLOW: Counter()}
+            for (f, s), count in image_pair_counts(c).items():
+                by_image[FAST][f] += count
+                by_image[SLOW][s] += count
+            for variant, counts in by_image.items():
+                for image, count in counts.items():
+                    assert count_preimages(image, variant) == count, (image, variant)
+                checked += len(counts)
+    assert checked == 9540
 
 
 def test_fertility_demo_small():

