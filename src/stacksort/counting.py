@@ -7,13 +7,25 @@ recurrences condition on how the copies of the largest letter split the word.
 All arithmetic is exact (Python integers); memo tables live for the process
 and can be persisted to a JSON file purely as a warm-start optimization
 (`json` is imported only then).
+
+Each memo is keyed by what its count reads of the content, so that contents
+with one count share one entry.  The fast count ignores zero entries and is
+symmetric in the content, so `_fast_memo` is keyed by the sorted nonzero
+entries.  The slow count is taken on the zero-free content and never reads
+its last entry, so `_slow_memo` is keyed by the zero-free content without
+its last entry.  A key with a count of 1 (at most one nonzero entry) is not
+stored.  Each step runs on a content as it is asked for, not on a canonical
+one, and each key remembers that content (`_Recurrence.contents`): the fast
+step on a sorted content reads many more distinct keys than on the content
+asked for (3,300 against 666 for (4,)*10), and `save_memo` writes those
+contents.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .words import (
     MAX_SPACE,
@@ -41,7 +53,7 @@ def count_fast_sortable(c: ContentVector) -> int:
     """
     if any(k < 0 for k in c):
         raise DomainError("content entries must be nonnegative")
-    return _evaluate(tuple(c), _fast_memo, _fast_step)
+    return _evaluate(_FAST, tuple(c))
 
 
 def _fast_step(c: ContentVector, count: Callable[[ContentVector], int]) -> int:
@@ -53,6 +65,13 @@ def _fast_step(c: ContentVector, count: Callable[[ContentVector], int]) -> int:
     return value + sum(count((r, c[1] - 1) + rest) for r in range(1, c[0] + 1))
 
 
+def _fast_key(c: ContentVector) -> ContentVector | None:
+    """The memo key of c's fast count: its nonzero entries sorted, or None
+    when at most one is left and the count is 1."""
+    key = tuple(sorted(filter(None, c)))
+    return key if len(key) > 1 else None
+
+
 def count_slow_sortable(c: ContentVector) -> int:
     """Number of words with content c that one slow pass sorts.
 
@@ -62,63 +81,94 @@ def count_slow_sortable(c: ContentVector) -> int:
     """
     if any(k < 0 for k in c):
         raise DomainError("content entries must be nonnegative")
-    return _evaluate(tuple(k for k in c if k), _slow_memo, _slow_step)
+    return _evaluate(_SLOW, tuple(k for k in c if k))
 
 
 def _slow_step(c: ContentVector, count: Callable[[ContentVector], int]) -> int:
-    """One step of the slow recurrence (len(c) >= 2), reading smaller values from `count`."""
+    """One step of the slow recurrence (c zero-free, len(c) >= 2), reading
+    smaller values from `count`.
+
+    c[-1] is never read.  The sum over the splits of c[i-1] has the factor
+    count(c[:i-1] + (k,)) in every term, which does not depend on k; the
+    count of c[:i] stands for it.
+    """
     n = len(c)
     value = 2 * count(c[:-1])
     for i in range(1, n - 1):
         value += count(c[:i]) * count(c[i:-1])
     for i in range(1, n):
-        for k in range(1, c[i - 1]):
-            value += count(c[: i - 1] + (k,)) * count((c[i - 1] - k,) + c[i:-1])
+        if c[i - 1] > 1:
+            tail = c[i:-1]
+            value += count(c[:i]) * sum(count((k,) + tail) for k in range(1, c[i - 1]))
     return value
+
+
+def _slow_key(c: ContentVector) -> ContentVector | None:
+    """The memo key of a zero-free c's slow count: c without its last entry,
+    or None when c has at most one entry and the count is 1."""
+    return c[:-1] if len(c) > 1 else None
+
+
+class _Recurrence(NamedTuple):
+    """A memoized recurrence: its step, the memo key of a content (None for a
+    count of 1), the memo, and per key the content its value was taken at."""
+
+    name: str
+    step: Callable[[ContentVector, Callable[[ContentVector], int]], int]
+    key: Callable[[ContentVector], ContentVector | None]
+    memo: dict[ContentVector, int]
+    contents: dict[ContentVector, ContentVector]
+
+
+_FAST = _Recurrence("fast", _fast_step, _fast_key, _fast_memo, {})
+_SLOW = _Recurrence("slow", _slow_step, _slow_key, _slow_memo, {})
 
 
 class _Missing(Exception):
     """A subterm that a recurrence step reads is not in the memo yet."""
 
 
-def _evaluate(
-    c: ContentVector,
-    memo: dict[ContentVector, int],
-    step: Callable[[ContentVector, Callable[[ContentVector], int]], int],
-) -> int:
-    """The recurrence's value at c, memoizing every subterm it reads
-    (length >= 2), on an explicit stack instead of Python recursion.
+def _evaluate(rec: _Recurrence, c: ContentVector) -> int:
+    """The recurrence's value at c, memoizing every subterm it reads under
+    its key, on an explicit stack instead of Python recursion.
 
     A step reads its subterms through a lookup that raises _Missing for one
-    not in the memo; that subterm is pushed and the step runs again once it
-    is stored.  So each step runs to completion once, and an aborted run
-    stops at a subterm that is stored before the run is repeated: there are
-    at most as many aborted runs as new entries.  The memo ends up holding
-    the same entries as a memoized recursion would store.
+    whose key is not in the memo; that subterm is pushed and the step runs
+    again once its key is stored.  So an aborted run stops at a subterm
+    whose key is stored before the run is repeated: there are at most as
+    many aborted runs as new entries.  The memo ends up holding the same
+    entries as a memoized recursion with the same keys would store.
     """
-    if len(c) <= 1:
+    _, step, key_of, memo, contents = rec
+    key = key_of(c)
+    if key is None:
         return 1
-    value = memo.get(c)
+    value = memo.get(key)
     if value is not None:
         return value
 
     def count(d: ContentVector) -> int:
-        if len(d) <= 1:
+        key = key_of(d)
+        if key is None:
             return 1
-        value = memo.get(d)
+        value = memo.get(key)
         if value is None:
             raise _Missing(d)
         return value
 
     pending = [c]
     while pending:
+        d = pending[-1]
         try:
-            memo[pending[-1]] = step(pending[-1], count)
+            value = step(d, count)
         except _Missing as exc:
             pending.append(exc.args[0])
         else:
+            key = key_of(d)
+            memo[key] = value
+            contents[key] = d
             pending.pop()
-    return memo[c]
+    return value
 
 
 def fuss_catalan(ell: int, n: int) -> int:
@@ -213,22 +263,51 @@ def brute_count_avoiders(
 
 
 def save_memo(path: str) -> None:
+    """Write the memo tables to `path` as JSON maps from contents to counts.
+
+    Each memo entry is written as the content its value was taken at,
+    together with every content that one recurrence step on a written
+    content reads.  So each entry follows from the others by one step,
+    whether a loader looks the subterms up by key, as `load_memo` does, or
+    by full content, as this module did when its memos were keyed by full
+    content: such a loader accepts the file too.  The slow step reads the
+    count of c[:i] in place of each c[:i-1] + (k,) with k < c[i-1], so those
+    contents are written as well.  A count that only the file needs is
+    computed on the way.
+    """
     import json
 
     data = {
-        "fast": {",".join(map(str, k)): str(v) for k, v in _fast_memo.items()},
-        "slow": {",".join(map(str, k)): str(v) for k, v in _slow_memo.items()},
+        rec.name: {",".join(map(str, c)): str(v) for c, v in _closed_entries(rec).items()}
+        for rec in (_FAST, _SLOW)
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh)
 
 
+def _closed_entries(rec: _Recurrence) -> dict[ContentVector, int]:
+    """The counts of the memo's contents and of every content their steps read."""
+    out: dict[ContentVector, int] = {}
+    todo = list(rec.contents.values())
+    while todo:
+        c = todo.pop()
+        if len(c) > 1 and c not in out:
+            out[c] = _evaluate(rec, c)
+            rec.step(c, lambda d: todo.append(d) or 0)
+            if rec is _SLOW:  # the c[:i-1] + (k,) that c[:i] stands for in `_slow_step`
+                todo.extend(c[:i - 1] + (k,) for i in range(2, len(c)) for k in range(1, c[i - 1]))
+    return out
+
+
 def load_memo(path: str) -> None:
     """Merge a `save_memo` file into the memo tables.
 
-    A file that is not in that format, or whose values do not follow from the
-    recurrences, raises ValueError (json.JSONDecodeError for bad JSON) and
-    leaves the tables untouched.
+    Each entry is a content and its count; contents with one memo key may
+    all appear, so files written when the memos were keyed by full content
+    load too.  A file that is not in that format, whose values do not follow
+    from the recurrences, or with a slow entry holding a zero (the slow step
+    is the slow recurrence only on zero-free contents) raises ValueError
+    (json.JSONDecodeError for bad JSON) and leaves the tables untouched.
     """
     import json
 
@@ -237,48 +316,63 @@ def load_memo(path: str) -> None:
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object with 'fast' and 'slow' tables")
     staged = []
-    for key, table, step in (("fast", _fast_memo, _fast_step), ("slow", _slow_memo, _slow_step)):
-        entries = data.get(key, {})
+    for rec in (_FAST, _SLOW):
+        entries = data.get(rec.name, {})
         if not isinstance(entries, dict):
-            raise ValueError(f"the {key!r} table is not a JSON object")
+            raise ValueError(f"the {rec.name!r} table is not a JSON object")
         parsed = {}
         for text, value in entries.items():
             try:
                 entry = tuple(int(t) for t in text.split(",") if t)
                 count = int(value)
             except (TypeError, ValueError):
-                raise ValueError(f"bad {key!r} entry {text!r}: {value!r}") from None
+                raise ValueError(f"bad {rec.name!r} entry {text!r}: {value!r}") from None
             if any(k < 0 for k in entry) or count < 0:
-                raise ValueError(f"bad {key!r} entry {text!r}: {value!r}")
+                raise ValueError(f"bad {rec.name!r} entry {text!r}: {value!r}")
+            if rec is _SLOW and 0 in entry:
+                raise ValueError(f"'slow' entry {text!r} has a zero entry")
             parsed[entry] = count
-        _check_entries(key, parsed, table, step)
-        staged.append((table, parsed))
-    for table, parsed in staged:
-        table.update(parsed)
+        staged.append((rec, _check_entries(rec, parsed)))
+    for rec, checked in staged:
+        for key, (c, value) in checked.items():
+            rec.memo[key] = value
+            rec.contents.setdefault(key, c)
 
 
-def _check_entries(key: str, parsed: dict, table: dict, step: Callable) -> None:
-    """Refuse loaded entries that do not follow from smaller ones by one recurrence step.
+def _check_entries(
+    rec: _Recurrence, parsed: dict
+) -> dict[ContentVector, tuple[ContentVector, int]]:
+    """Per memo key, a loaded content and its count, each entry checked by
+    one recurrence step.
 
-    Smaller values come from the file itself, the in-process table or the base
-    case.  By induction on (sum, length), every accepted entry is then exact,
-    so a loaded file cannot change a result.  Checked smallest first, so the
-    error names the smallest wrong entry.
+    Checked smallest first by (sum, length), so the error names the smallest
+    wrong entry.  A step on a content reads smaller contents only, and looks
+    their counts up by key in the entries already checked, the in-process
+    table or the base case.  So every accepted value is exact, and a loaded
+    file cannot change a result.
     """
-    def count(c: ContentVector) -> int:
-        if len(c) <= 1:
+    checked: dict[ContentVector, tuple[ContentVector, int]] = {}
+
+    def count(d: ContentVector) -> int:
+        key = rec.key(d)
+        if key is None:
             return 1
-        value = parsed.get(c, table.get(c))
+        value = checked[key][1] if key in checked else rec.memo.get(key)
         if value is None:
-            raise ValueError(f"the {key!r} table lacks {c}, which the recurrence needs")
+            raise ValueError(f"the {rec.name!r} table lacks {d}, which the recurrence needs")
         return value
 
     for c in sorted(parsed, key=lambda c: (sum(c), len(c))):
-        expected = 1 if len(c) <= 1 else step(c, count)
+        expected = 1 if len(c) <= 1 else rec.step(c, count)
         if parsed[c] != expected:
-            raise ValueError(f"{key!r} entry {c} is {parsed[c]}; the recurrence gives {expected}")
+            raise ValueError(f"{rec.name!r} entry {c} is {parsed[c]}; the recurrence gives {expected}")
+        key = rec.key(c)
+        if key is not None:
+            checked.setdefault(key, (c, expected))
+    return checked
 
 
 def clear_memo() -> None:
-    _fast_memo.clear()
-    _slow_memo.clear()
+    for rec in (_FAST, _SLOW):
+        rec.memo.clear()
+        rec.contents.clear()

@@ -138,6 +138,15 @@ def contains_pattern(w: Word, p: Pattern) -> int:
     order-isomorphic to the pattern prefix, so a candidate needs comparing
     with two of them only (see `_pattern_neighbours`): O(1) per candidate,
     O(k^2) per pattern to find the neighbours, for a pattern of length k.
+
+    Skip rule: when level i finds no candidate at all right of the letter
+    level i-1 just chose, and level i's constraint does not read level i-1,
+    the search backtracks past level i-1 too.  Every other choice for level
+    i-1 lies further right and leaves level i the same constraint on a
+    shorter suffix, so it fails as well.  The pruned branches hold no
+    occurrence, so the search still visits occurrences in
+    `itertools.combinations` order of their positions, and the result is the
+    end of the first one.
     """
     m, k = len(w), len(p)
     if k == 0:
@@ -148,8 +157,9 @@ def contains_pattern(w: Word, p: Pattern) -> int:
     vals = [0] * k  # vals[i]: the letter chosen for pattern position i
     resume = [0] * k  # resume[i]: where the scan for position i goes on
     i = j = 0
+    fresh = True  # level i scans from just right of level i-1's letter
     while True:
-        eq, lo, hi = neighbours[i]
+        eq, lo, hi, back = neighbours[i]
         last = m - k + i  # leaves room for the rest of the pattern
         if eq >= 0:
             a = vals[eq]
@@ -167,22 +177,26 @@ def contains_pattern(w: Word, p: Pattern) -> int:
             i += 1
             if i == k:
                 return j
+            fresh = True
         else:
-            i -= 1
+            i -= back if fresh else 1
             if i < 0:
                 return 0
             j = resume[i]
+            fresh = False
 
 
 @lru_cache(maxsize=256)
-def _pattern_neighbours(p: Pattern) -> tuple[tuple[int, int, int], ...]:
-    """Per pattern position i, three earlier positions, each -1 if none.
+def _pattern_neighbours(p: Pattern) -> tuple[tuple[int, int, int, int], ...]:
+    """Per pattern position i, three earlier positions, each -1 if none, and
+    how many levels a failed fresh scan at level i backtracks.
 
     `eq` holds a letter equal to p[i], `lo` the largest letter below p[i],
     `hi` the smallest above.  A letter x extends a match of p[:i] with chosen
     letters `vals` iff x == vals[eq] when `eq` exists, and
     vals[lo] < x < vals[hi] otherwise: every other chosen letter is ordered
-    against these two as its pattern letter is.
+    against these two as its pattern letter is.  `back` is 2 when none of
+    the three is i-1 (the skip rule of `contains_pattern`), else 1.
     """
     out = []
     for i, a in enumerate(p):
@@ -194,7 +208,7 @@ def _pattern_neighbours(p: Pattern) -> tuple[tuple[int, int, int], ...]:
                 lo = j
             elif b > a and (hi < 0 or b < p[hi]):
                 hi = j
-        out.append((eq, lo, hi))
+        out.append((eq, lo, hi, 1 if i - 1 in (eq, lo, hi) else 2))
     return tuple(out)
 
 

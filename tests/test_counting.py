@@ -195,7 +195,7 @@ def test_memo_persistence_roundtrip(tmp_path):
     assert count_slow_sortable((3, 2, 4, 1)) == fresh  # identical without the cache
     counting.clear_memo()
     counting.load_memo(str(path))
-    assert counting._slow_memo[(3, 2, 4, 1)] == fresh  # loaded: a warm start
+    assert counting._slow_memo[(3, 2, 4)] == fresh  # loaded: a warm start (key drops the last entry)
     assert count_slow_sortable((3, 2, 4, 1)) == fresh
     assert count_fast_sortable((2, 2, 2)) == count_fast_sortable((2, 2, 2))
 
@@ -226,16 +226,127 @@ def test_load_memo_refuses_entries_without_their_subterms(tmp_path):
     assert counting._slow_memo == {}
 
 
-def recursive_memo(c, step):
-    """The entries a plain memoized recursion over `step` stores for c."""
+def test_load_memo_refuses_slow_entries_with_zeros(tmp_path):
+    # the slow step on a content with zeros is not the slow count; keyed
+    # without zeros and the last entry, "2,0,1": "9" would make (2, 5) count 9
+    count_fast_sortable((2, 1, 2))
+    before = dict(counting._fast_memo), dict(counting._slow_memo)
+    path = tmp_path / "memo.json"
+    path.write_text(json.dumps({"slow": {"2,0": "3", "1,0": "2", "2,0,1": "9"}}), encoding="utf-8")
+    with pytest.raises(ValueError):
+        counting.load_memo(str(path))
+    assert (counting._fast_memo, counting._slow_memo) == before
+    assert count_slow_sortable((2, 5)) == 3
+
+
+# What `save_memo` wrote for count_fast_sortable((2, 1, 2)) and
+# count_slow_sortable((3, 1, 2)), each run cold, when the memos were keyed by
+# full content: unsorted fast contents, zeros included, and slow contents
+# with any last entry.
+FULL_CONTENT_FILE = {
+    "fast": {"1,0": "1", "1,1": "2", "2,0": "1", "2,1": "3", "3,0": "1", "3,1": "4",
+             "3,2": "10", "1,2": "3", "1,0,2": "3", "2,2": "6", "2,0,2": "6", "2,1,2": "19"},
+    "slow": {"3,1": "4", "2,1": "3", "1,1": "2", "3,1,2": "14"},
+}
+
+
+def test_memo_files_load_across_key_formats(tmp_path):
+    path = tmp_path / "memo.json"
+    path.write_text(json.dumps(FULL_CONTENT_FILE), encoding="utf-8")
+    counting.clear_memo()
+    counting.load_memo(str(path))
+    assert counting._fast_memo[(1, 2, 2)] == 19 and counting._slow_memo[(3, 1)] == 14  # warm
+    loaded = dict(counting._fast_memo), dict(counting._slow_memo)
+    assert (count_fast_sortable((2, 1, 2)), count_slow_sortable((3, 1, 2))) == (19, 14)
+    assert (counting._fast_memo, counting._slow_memo) == loaded  # nothing recomputed
+    counting.save_memo(str(path))
+    assert json.loads(path.read_text(encoding="utf-8")) == FULL_CONTENT_FILE  # kept on re-save
+    counting.clear_memo()
+    assert (count_fast_sortable((2, 1, 2)), count_slow_sortable((3, 1, 2))) == (19, 14)
+    # the other way: a file written now is the one written then, and in
+    # general one that a loader keyed by full content accepts
+    counting.save_memo(str(path))
+    assert json.loads(path.read_text(encoding="utf-8")) == FULL_CONTENT_FILE
+    counting.clear_memo()
+    for c in [(3, 2, 4, 1), (3, 0, 2, 0, 1), (4, 4, 4, 4), (1, 5, 2, 2)]:
+        count_fast_sortable(c)
+        count_slow_sortable(c)
+    counting.save_memo(str(path))
+    assert_full_content_loader_accepts(json.loads(path.read_text(encoding="utf-8")))
+
+
+def full_content_fast_step(c, count):
+    """The fast recurrence step, applied to the content as given."""
+    rest = c[2:]
+    if c[1] == 0:
+        return count((c[0],) + rest)
+    value = count((c[0] + c[1],) + rest)
+    return value + sum(count((r, c[1] - 1) + rest) for r in range(1, c[0] + 1))
+
+
+def unfactored_slow_step(c, count):
+    """The slow recurrence step with the sum over k written out term by term."""
+    n = len(c)
+    value = 2 * count(c[:-1])
+    for i in range(1, n - 1):
+        value += count(c[:i]) * count(c[i:-1])
+    for i in range(1, n):
+        for k in range(1, c[i - 1]):
+            value += count(c[: i - 1] + (k,)) * count((c[i - 1] - k,) + c[i:-1])
+    return value
+
+
+def assert_full_content_loader_accepts(data):
+    """Check every entry of a memo file by one step from the others, looking
+    subterms up by full content, as a loader keyed by content does."""
+    for name, step in (("fast", full_content_fast_step), ("slow", unfactored_slow_step)):
+        table = {tuple(int(t) for t in text.split(",")): int(v) for text, v in data[name].items()}
+
+        def count(c):
+            return 1 if len(c) <= 1 else table[c]  # KeyError: a subterm is missing
+
+        for c, value in table.items():
+            assert step(c, count) == value, (name, c)
+
+
+def full_content_counter(step):
+    """A plain memoized recursion over `step`, keyed by the full content."""
+    memo = {}
+
+    def count(c):
+        if len(c) <= 1:
+            return 1
+        if c not in memo:
+            memo[c] = step(c, count)
+        return memo[c]
+
+    return count
+
+
+def test_counters_match_the_full_content_recursion():
+    # the memo keys take the fast count's symmetry and zero-blindness, and the
+    # slow count's independence of the last entry, as given; this checks them
+    fast = full_content_counter(full_content_fast_step)
+    slow = full_content_counter(unfactored_slow_step)
+    counting.clear_memo()
+    contents = [c for m in range(1, 13) for c in positive_compositions(m)]
+    for c in contents + [(3, 0, 2, 0, 1), (0, 4, 0), (2, 0, 0, 3, 1), (0, 0, 1, 2)]:
+        assert count_fast_sortable(c) == fast(c), c
+        assert count_slow_sortable(c) == slow(tuple(k for k in c if k)), c
+
+
+def recursive_memo(c, rec):
+    """The entries a plain memoized recursion over `rec`'s step stores for c,
+    under `rec`'s keys."""
     memo = {}
 
     def count(d):
-        if len(d) <= 1:
+        key = rec.key(d)
+        if key is None:
             return 1
-        if d not in memo:
-            memo[d] = step(d, count)
-        return memo[d]
+        if key not in memo:
+            memo[key] = rec.step(d, count)
+        return memo[key]
 
     count(c)
     return memo
@@ -246,8 +357,8 @@ def test_recurrences_memoize_what_the_recursion_stores(c):
     counting.clear_memo()
     count_fast_sortable(c)
     count_slow_sortable(c)
-    assert counting._fast_memo == recursive_memo(c, counting._fast_step)
-    assert counting._slow_memo == recursive_memo(tuple(k for k in c if k), counting._slow_step)
+    assert counting._fast_memo == recursive_memo(c, counting._FAST)
+    assert counting._slow_memo == recursive_memo(tuple(k for k in c if k), counting._SLOW)
 
 
 def test_recurrences_need_no_python_recursion():

@@ -65,6 +65,13 @@ def test_contains_pattern_examples():
     assert not contains_pattern(parse_word("1122"), parse_word("221"))
     assert contains_pattern(parse_word("221"), parse_word("221"))
     assert contains_pattern((5, 2), ())
+    # 1 3 _ _ 1 fails at the 1 without reading the 3, so the search skips the
+    # other 3s and goes back to the first letter before finding 3 4 1
+    assert contains_pattern((1, 3, 2, 4, 1), (2, 3, 1)) == 5
+    # after 2 3 _ 1 2 _ fails at the last letter, the scan for the 1 resumes
+    # and runs out; that failure must not skip the other choices for the 4,
+    # because the last letter reads it: 2 _ 4 1 2 3 is the occurrence
+    assert contains_pattern((2, 3, 4, 1, 2, 3), (2, 4, 1, 2, 3)) == 6
 
 
 def test_every_word_contains_itself(normalized):
@@ -102,6 +109,17 @@ def test_contains_pattern_matches_definition_exhaustively(normalized):
                 check_against_definition(w, p, contains)
 
 
+def first_occurrence_end(w, p):
+    """1 plus the last index of the first occurrence of p in w, taking the
+    position choices in `itertools.combinations` order; 1 for the empty
+    pattern, 0 if w avoids p."""
+    target = order_type(p)
+    for positions in combinations(range(len(w)), len(p)):
+        if order_type(tuple(w[i] for i in positions)) == target:
+            return positions[-1] + 1 if positions else 1
+    return 0
+
+
 @given(st.data())
 def test_contains_pattern_matches_definition_on_longer_words(data):
     # the shape of the exceptional-pattern check: words to 12, patterns to 7;
@@ -113,6 +131,7 @@ def test_contains_pattern_matches_definition_on_longer_words(data):
         keep = data.draw(st.lists(st.booleans(), min_size=len(w), max_size=len(w)))
         p = tuple(x for x, k in zip(w, keep) if k)[:7]
     check_against_definition(w, p, contains_by_definition)
+    assert contains_pattern(w, p) == first_occurrence_end(w, p), (w, p)
 
 
 @pytest.mark.parametrize(
