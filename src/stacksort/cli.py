@@ -4,7 +4,7 @@ Every operation of the library is reachable from here with machine-readable
 output (--format json; count tables also speak csv).  Words are given as
 digit strings when all letters fit in one digit, otherwise space or comma
 separated.  Exit codes: 0 success, 1 domain error, 2 size-limit refusal,
-usage error or unreadable cache file.
+usage error or unreadable or unwritable cache file.
 
 Each command imports the library modules it calls, and no others, so a run
 pays start-up only for the code it uses.
@@ -359,15 +359,8 @@ _HANDLERS = {
 }
 
 
-def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
-    """Parse the command line; --parallel is clamped to the number of CPUs."""
-    args = build_parser().parse_args(argv)
-    args.parallel = min(args.parallel, os.cpu_count() or 1)
-    return args
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.cache:
         from . import counting
 
@@ -386,7 +379,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.cache:
-        counting.save_memo(args.cache)
+        try:
+            counting.save_memo(args.cache)
+        except OSError as exc:
+            print(f"error: cannot write cache file {args.cache}: {exc}", file=sys.stderr)
+            return 2
     return 0
 
 

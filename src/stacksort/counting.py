@@ -274,15 +274,25 @@ def save_memo(path: str) -> None:
     count of c[:i] in place of each c[:i-1] + (k,) with k < c[i-1], so those
     contents are written as well.  A count that only the file needs is
     computed on the way.
+
+    The file is written beside `path` under a temporary name and then
+    renamed over it, so a failed write leaves the old file whole.
     """
     import json
+    import os
 
     data = {
         rec.name: {",".join(map(str, c)): str(v) for c, v in _closed_entries(rec).items()}
         for rec in (_FAST, _SLOW)
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _closed_entries(rec: _Recurrence) -> dict[ContentVector, int]:

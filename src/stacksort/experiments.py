@@ -6,8 +6,9 @@ distance) into a histogram, keeping the words where the slow operator wins
 outright.  It sorts no word: per content class, `image_pair_counts` gives the
 (fast image, slow image) pairs with the number of words behind each, a
 word's distance is one more than its image's, and `distances` walks each
-distinct image once per operator.  Only the pairs where slow wins are
-expanded back into their words, by the same split at the largest letter.
+distinct image once per operator.  The pairs come from one two-way split of
+each word at the last copy of its largest letter.  Only the pairs where slow
+wins are expanded back into their words, by cutting at every copy of it.
 Everything downstream (the exceptional-word census, gap counts, conjecture
 scans) reads off one such scan, which is cached per length in-process.
 
@@ -23,6 +24,7 @@ functions that use them, so a command-line run loads only what it calls.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from itertools import product
@@ -67,102 +69,60 @@ class CensusResult:
 def image_pair_counts(c: ContentVector) -> dict[tuple[Word, Word], int]:
     """The pairs (sort_fast(w), sort_slow(w)) over w in W_c, with multiplicities.
 
-    Write w = A_1 n A_2 n ... n A_{k+1} with n the largest letter (k copies).
-    The two definitions give
+    Write w = A n B with n the largest letter (k copies) and B free of n, so
+    that A holds the other k - 1 copies.  West's s(LnR) = s(L) s(R) n gives
 
-        fast(w) = fast(A_1) fast(A_2) ... fast(A_{k+1}) n^k,
-        slow(w) = slow(A_1) slow(A_2) n slow(A_3) n ... n slow(A_{k+1}) n,
+        slow(w) = slow(A) slow(B) n,
+        fast(w) = fast(A) without its k - 1 trailing n's, then fast(B), n^k.
 
-    the word form of West's s(LnR) = s(L) s(R) n.  So the pair of w depends
-    only on the pairs of its blocks, and the first two blocks enter both
-    images only through their concatenations.  For each content b, the
-    two-block counts P2(b) merge the pairs (fast(A_1) fast(A_2),
-    slow(A_1) slow(A_2)) over every split of b into (A_1, A_2); they are
-    computed once per call.  A class with k = 1 is P2 of the smaller letters
-    with n appended to both images.  For k >= 2, the class sums over every
-    split of the smaller letters into k parts, the merged first two blocks
-    and one part per later block, each split contributing every combination
-    of its parts' pairs with the product of their multiplicities.  The n's
-    of the slow image then cut it back into its parts, so no pair arises
-    twice: a repeat raises `InvariantError`.
+    So the pair of w depends only on the pairs of A and B, and the class sums
+    over every split (a, b) of the smaller letters every combination of a
+    pair of A (content a with k - 1 appended) and a pair of B (content b),
+    with the product of their multiplicities.  For k = 1 equal pairs add up.
+    For k >= 2, slow(A) ends in n and slow(B) holds none, so the last n but
+    one of the slow image marks where slow(A) ends: the slow image fixes the
+    split and both pieces, and the length of A then cuts the fast image too.
+    So no pair arises twice, and a repeat raises `InvariantError`.
     """
     c = _strip_zeros(tuple(c))
     if any(k < 0 for k in c):
         raise DomainError("content entries must be nonnegative")
     if sum(c) > MAX_ENUM_SUM:
         raise SizeLimitError(f"word length {sum(c)} exceeds limit {MAX_ENUM_SUM}")
-    return _pair_counts(c, {}, {})
+    return _pair_counts(c, {})
 
 
-def _pair_counts(c: ContentVector, memo: dict, merged: dict) -> dict[tuple[Word, Word], int]:
-    """The pairs of W_c, for c without trailing zeros.  `memo` keeps the pairs
-    of every block content met, under that same key; `merged` keeps P2."""
+def _pair_counts(c: ContentVector, memo: dict) -> dict[tuple[Word, Word], int]:
+    """The pairs of W_c, for c without trailing zeros; `memo` keeps the pairs
+    of every content met, under that same key."""
     got = memo.get(c)
     if got is not None:
         return got
+    out = memo[c] = {}
     if not c:
-        out = {((), ()): 1}
-    elif c[-1] == 1:
-        sep = (len(c),)
-        out = {(f + sep, s + sep): x
-               for (f, s), x in _two_block_counts(_strip_zeros(c[:-1]), memo, merged).items()}
-    else:
-        n, k = len(c), c[-1]
-        sep, tail = (n,), (n,) * k
-        out = {}
-        for first, *middle, last in _splits(_strip_zeros(c[:-1]), k):
-            acc = [(f, s, x) for (f, s), x in _two_block_counts(first, memo, merged).items()]
-            for b in middle:
-                part = _pair_counts(b, memo, merged).items()
-                acc = [(f + g, s + sep + t, x * y) for f, s, x in acc for (g, t), y in part]
-            part = _pair_counts(last, memo, merged).items()
-            for f, s, x in acc:
-                s += sep
-                for (g, t), y in part:
-                    key = (f + g + tail, s + t + sep)
-                    if key in out:  # the slow image fixes the split: a theorem
-                        raise InvariantError(f"pair {key} arises twice in W_{c}")
-                    out[key] = x * y
-    memo[c] = out
+        out[(), ()] = 1
+        return out
+    n, k = len(c), c[-1]
+    tail, sep = (n,) * k, (n,)
+    for a, b in _splits(c[:-1]):
+        cut = sum(a)  # the length of fast(A) without its k - 1 trailing n's
+        right = [(g + tail, t + sep, y)
+                 for (g, t), y in _pair_counts(_strip_zeros(b), memo).items()]
+        for (f, s), x in _pair_counts(_strip_zeros(a + (k - 1,)), memo).items():
+            f = f[:cut]
+            for g, t, y in right:
+                key = (f + g, s + t)
+                if k > 1 and key in out:  # the slow image fixes the split: a theorem
+                    raise InvariantError(f"pair {key} arises twice in W_{c}")
+                out[key] = out.get(key, 0) + x * y
     return out
 
 
-def _two_block_counts(b: ContentVector, memo: dict, merged: dict) -> dict[tuple[Word, Word], int]:
-    """P2(b): the pairs (fast(A_1) fast(A_2), slow(A_1) slow(A_2)) over every
-    split of b into block contents (A_1, A_2), merged, with multiplicities."""
-    got = merged.get(b)
-    if got is None:
-        got = merged[b] = {}
-        for b1, b2 in _splits(b, 2):
-            second = _pair_counts(b2, memo, merged).items()
-            for (f, s), x in _pair_counts(b1, memo, merged).items():
-                for (g, t), y in second:
-                    key = (f + g, s + t)
-                    got[key] = got.get(key, 0) + x * y
-    return got
-
-
-def _splits(c: ContentVector, parts: int) -> Iterator[tuple[ContentVector, ...]]:
-    """Every way to share out the letters of c among `parts` block contents.
-
-    Each way appears once.  Block contents carry no trailing zeros, so () is
-    the empty block.
-    """
-    shares = [list(_weak_compositions(x, parts)) for x in c]
-    for choice in product(*shares):
-        if not choice:
-            yield ((),) * parts
-        else:
-            yield tuple(_strip_zeros(block) for block in zip(*choice))
-
-
-def _weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _splits(c: ContentVector) -> Iterator[tuple[ContentVector, ContentVector]]:
+    """Every way to share out the letters of c between two blocks, once each,
+    as full-length contents (a, b) with a + b = c."""
+    for a in product(*(range(x + 1) for x in c)):
+        yield a, tuple(x - y for x, y in zip(c, a))
 
 
 def _strip_zeros(c: ContentVector) -> ContentVector:
@@ -183,7 +143,7 @@ def _census_content(c: tuple[int, ...]) -> tuple[dict[int, int], list, int]:
     words, through the block pairs kept in `memo`.
     """
     memo: dict = {}
-    pairs = _pair_counts(c, memo, {})
+    pairs = _pair_counts(c, memo)
     fast_d = _image_distances([f for f, _ in pairs], SortVariant.FAST)
     slow_d = _image_distances([s for _, s in pairs], SortVariant.SLOW)
     hist: dict[int, int] = {}
@@ -207,8 +167,14 @@ def _words_with_pairs(
     """The words of W_c whose pair is in `wanted`, with their distances, in
     lexicographic order.
 
-    The n's of s cut it into slow(A_1) slow(A_2), slow(A_3), ...,
-    slow(A_{k+1}) (see `image_pair_counts`); only the length of A_1 is free.
+    Repeating the split of `image_pair_counts` on A until it is free of n
+    writes w = A_1 n A_2 n ... n A_{k+1} with n-free blocks, and gives
+
+        fast(w) = fast(A_1) fast(A_2) ... fast(A_{k+1}) n^k,
+        slow(w) = slow(A_1) slow(A_2) n slow(A_3) n ... n slow(A_{k+1}) n.
+
+    So the n's of s cut it into slow(A_1) slow(A_2), slow(A_3), ...,
+    slow(A_{k+1}); only the length of A_1 is free.
     Each choice of it cuts f as well, and gives words iff every piece is a
     pair of its block's content in `block_pairs`.  The block words behind
     each such piece are listed once per block content, by enumeration and
@@ -254,16 +220,21 @@ _census_cache: dict[int, CensusResult] = {}
 
 
 def distance_census(m: int, parallelism: int = 1) -> CensusResult:
-    """Gap census over all normalized words of length m (cached per length)."""
+    """Gap census over all normalized words of length m (cached per length).
+
+    It runs on at most `parallelism` worker processes, and never on more than
+    there are CPUs or content classes.
+    """
     check_scan_length(m)
     cached = _census_cache.get(m)
     if cached is not None:
         return cached
     contents = list(positive_compositions(m))
-    if parallelism > 1 and len(contents) > 1:
+    workers = min(parallelism, os.cpu_count() or 1, len(contents))
+    if workers > 1:
         from multiprocessing import get_context
 
-        with get_context("fork").Pool(parallelism) as pool:
+        with get_context("fork").Pool(workers) as pool:
             parts = pool.map(_census_content, contents, chunksize=1)
     else:
         parts = [_census_content(c) for c in contents]

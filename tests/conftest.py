@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import settings
 
@@ -21,3 +23,35 @@ def normalized():
         return cache[m]
 
     return get
+
+
+@pytest.fixture
+def fake_pools(monkeypatch):
+    """Sizes of the census pools asked for, with no process started.
+
+    `multiprocessing.get_context` returns a context whose pools run their
+    map in the calling process; the census cache starts empty.
+    """
+    import multiprocessing
+
+    from stacksort import experiments
+
+    sizes: list[int] = []
+
+    class Pool:
+        def __init__(self, processes: int):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return [fn(item) for item in items]
+
+    context = SimpleNamespace(Pool=Pool)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: context)
+    monkeypatch.setattr(experiments, "_census_cache", {})
+    return sizes

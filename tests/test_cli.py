@@ -47,13 +47,14 @@ def test_sort_negative_steps_is_usage_error(capsys):
     assert "--steps" in capsys.readouterr().err
 
 
-def test_parallel_clamped_to_cpu_count(monkeypatch):
-    # parsing only: no worker pool is started
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    assert cli.parse_args(["--parallel", "100000", "distance", "21"]).parallel == 2
-    assert cli.parse_args(["--parallel", "1", "distance", "21"]).parallel == 1
+def test_parallel_clamped_to_cpu_count(monkeypatch, capsys, fake_pools):
+    # the census asks a fake context for its pool: no worker process starts
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    code, out, _ = run(capsys, "--parallel", "100000", "gap-census", "--len", "4", "--gap", "0")
+    assert code == 0 and out.strip() == "61"
+    assert fake_pools == [2]
     with pytest.raises(SystemExit) as exc:
-        cli.parse_args(["--parallel", "0", "distance", "21"])
+        main(["--parallel", "0", "distance", "21"])
     assert exc.value.code == 2
 
 
@@ -272,6 +273,30 @@ def test_poisoned_cache_is_refused(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
     assert counting._slow_memo == before
+
+
+def test_unwritable_cache_exits_2(tmp_path, capsys):
+    cache = tmp_path / "missing" / "memo.json"
+    code, out, err = run(capsys, "--cache", str(cache), "count-sortable", "--map", "slow", "2", "2")
+    assert code == 2 and out.strip() == "3"
+    assert err.startswith(f"error: cannot write cache file {cache}") and "Traceback" not in err
+
+
+def test_failed_cache_write_keeps_the_old_file(tmp_path, capsys, monkeypatch):
+    cache = tmp_path / "memo.json"
+    assert run(capsys, "--cache", str(cache), "count-sortable", "--map", "slow", "2", "2")[0] == 0
+    saved = cache.read_text(encoding="utf-8")
+
+    def fail(data, fh):
+        fh.write("{")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", fail)
+    code, out, err = run(capsys, "--cache", str(cache), "count-sortable", "--map", "slow", "3", "2")
+    assert code == 2 and out.strip() == str(counting.count_slow_sortable((3, 2)))
+    assert "disk full" in err
+    assert cache.read_text(encoding="utf-8") == saved
+    assert [p.name for p in tmp_path.iterdir()] == ["memo.json"]
 
 
 def readme_block(section: str, fence: str) -> str:

@@ -1,6 +1,7 @@
 import hashlib
 import os
 from collections import Counter
+from math import factorial
 
 import pytest
 
@@ -9,7 +10,10 @@ from stacksort import (
     InvariantError,
     SizeLimitError,
     SortVariant,
+    catalan,
+    count_fast_sortable,
     count_preimages,
+    count_slow_sortable,
     distance,
     distance_census,
     enumerate_normalized,
@@ -19,6 +23,7 @@ from stacksort import (
     find_exceptional,
     format_word,
     gap_census,
+    identity,
     image_pair_counts,
     normalized_count,
     parse_word,
@@ -118,7 +123,7 @@ def test_reports_are_deterministic():
 def test_image_pair_counts_match_sorting_every_word():
     # the split formulas against both stack passes on every word of the class
     contents = [c for m in range(8) for c in positive_compositions(m)]
-    contents += [(0, 2, 2), (2, 0, 1), (1, 0), (0, 0, 3, 0, 1)]
+    contents += [(0, 2, 2), (2, 0, 1), (1, 0), (0, 0, 3, 0, 1), (0, 3, 0, 2), (3, 0, 0, 3)]
     for c in contents:
         expected = Counter(
             (sort_via_stack(w, FAST), sort_via_stack(w, SLOW)) for w in enumerate_words(c)
@@ -141,8 +146,8 @@ def test_image_pair_counts_refuse_a_repeated_pair(monkeypatch):
     # so a split offered twice must raise rather than double a count
     splits = experiments._splits
 
-    def twice(c, parts):
-        for split in splits(c, parts):
+    def twice(c):
+        for split in splits(c):
             yield split
             yield split
 
@@ -165,6 +170,36 @@ def test_image_pair_counts_agree_with_the_preimage_dp():
                     assert count_preimages(image, variant) == count, (image, variant)
                 checked += len(counts)
     assert checked == 9540
+
+
+def test_image_pair_counts_agree_with_the_recurrences():
+    # the words a single pass sorts, read off the pairs, against the paper's
+    # recurrences; on 1^n, Catalan numbers and West's two-stack-sortable count
+    for m in range(9):
+        for c in positive_compositions(m):
+            pairs = image_pair_counts(c)
+            target = identity(c)
+            assert sum(x for (f, _), x in pairs.items() if f == target) == count_fast_sortable(c)
+            assert sum(x for (_, s), x in pairs.items() if s == target) == count_slow_sortable(c)
+    for n in range(1, 10):
+        by_fast = Counter()
+        for (f, _), x in image_pair_counts((1,) * n).items():
+            by_fast[f] += x
+        target = tuple(range(1, n + 1))
+        assert by_fast[target] == catalan(n)
+        two_pass = sum(x for f, x in by_fast.items() if sort_via_stack(f, FAST) == target)
+        assert two_pass == 2 * factorial(3 * n) // (factorial(n + 1) * factorial(2 * n + 1))
+
+
+def test_census_pool_is_clamped(monkeypatch, fake_pools):
+    # the pool never outnumbers the CPUs or the content classes (4 at length 3)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)
+    assert find_exceptional(3, parallelism=64)["normalized_words"] == 13
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    distance_census(4, parallelism=3)
+    distance_census(5, parallelism=1)
+    distance_census(1, parallelism=8)  # one class: no pool
+    assert fake_pools == [4, 2]
 
 
 def test_fertility_demo_small():
