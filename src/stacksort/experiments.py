@@ -106,12 +106,11 @@ def _pair_counts(c: ContentVector, memo: dict) -> dict[tuple[Word, Word], int]:
     tail, sep = (n,) * k, (n,)
     for a, b in _splits(c[:-1]):
         cut = sum(a)  # the length of fast(A) without its k - 1 trailing n's
-        right = [(g + tail, t + sep, y)
-                 for (g, t), y in _pair_counts(_strip_zeros(b), memo).items()]
+        right = _pair_counts(_strip_zeros(b), memo).items()
         for (f, s), x in _pair_counts(_strip_zeros(a + (k - 1,)), memo).items():
             f = f[:cut]
-            for g, t, y in right:
-                key = (f + g, s + t)
+            for (g, t), y in right:
+                key = (f + g + tail, s + t + sep)
                 if k > 1 and key in out:  # the slow image fixes the split: a theorem
                     raise InvariantError(f"pair {key} arises twice in W_{c}")
                 out[key] = out.get(key, 0) + x * y
@@ -122,7 +121,7 @@ def _splits(c: ContentVector) -> Iterator[tuple[ContentVector, ContentVector]]:
     """Every way to share out the letters of c between two blocks, once each,
     as full-length contents (a, b) with a + b = c."""
     for a in product(*(range(x + 1) for x in c)):
-        yield a, tuple(x - y for x, y in zip(c, a))
+        yield a, tuple(map(int.__sub__, c, a))
 
 
 def _strip_zeros(c: ContentVector) -> ContentVector:
