@@ -13,6 +13,7 @@ pays start-up only for the code it uses.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 
@@ -123,9 +124,11 @@ def _cmd_sort(args) -> None:
 
     w = words.parse_word(args.word)
     variant = sorting.SortVariant(args.map)
-    chain = [w]
-    for _ in range(args.steps):
-        chain.append(sorting.sort_via_stack(chain[-1], variant))
+    target = tuple(sorted(w))  # the identity word, a fixed point of both operators
+    walked = [w]
+    while len(walked) <= args.steps and walked[-1] != target:
+        walked.append(sorting.sort_via_stack(walked[-1], variant))
+    chain = itertools.chain(walked, itertools.repeat(target, args.steps + 1 - len(walked)))
     if args.format == "json":
         _print_json({"map": args.map, "chain": [words.format_word(u) for u in chain]})
     elif args.trace:
@@ -133,7 +136,7 @@ def _cmd_sort(args) -> None:
             prefix = f"  ={args.map}=> " if step else ""
             print(f"{prefix}{words.format_word(u)}")
     else:
-        print(words.format_word(chain[-1]))
+        print(words.format_word(walked[-1]))
 
 
 def _cmd_distance(args) -> None:

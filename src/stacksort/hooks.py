@@ -2,8 +2,10 @@
 
 Plot the word w as points (i, w_i).  A hook joins a southwest point (i, w_i)
 to a weakly higher northeast point (j, w_j) to its right by a vertical then a
-horizontal segment.  A configuration (H_1, ..., H_k), ordered by southwest
-index, is valid when:
+horizontal segment.  Its two indices fix it, so a hook is the pair (i, j) and a
+configuration (H_1, ..., H_k) is the tuple of its pairs ordered by southwest
+index; heights, and whether a hook is horizontal (w_i = w_j) or small
+(j = i + 1), are read off w.  A configuration is valid when:
 
   1. the southwest indices strictly increase;
   2. every descent top (w_d >= w_{d+1}) is the southwest endpoint of a hook;
@@ -39,7 +41,6 @@ can no longer be met.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import product
@@ -63,24 +64,7 @@ from .words import (
 
 PlotPoint = tuple[int, int]
 Composition = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Hook:
-    """A hook with its southwest and northeast plot points (1-based index, height)."""
-
-    sw: PlotPoint
-    ne: PlotPoint
-
-    @property
-    def horizontal(self) -> bool:
-        return self.sw[1] == self.ne[1]
-
-    @property
-    def small(self) -> bool:
-        return self.ne[0] == self.sw[0] + 1
-
-
+Hook = tuple[int, int]  # (southwest index, northeast index), 1-based
 HookConfig = tuple[Hook, ...]
 
 
@@ -120,14 +104,14 @@ def catalan_product(q: Composition) -> int:
 # Enumeration
 
 
-def _enumerate_pairs(w: Word, which: VhcFilter) -> list[tuple[tuple[int, int], ...]]:
-    """All configurations as ((i, j), ...) index pairs, in DFS order."""
+def _enumerate_pairs(w: Word, which: VhcFilter) -> list[HookConfig]:
+    """All configurations, in DFS order."""
     m = len(w)
     descents = {d for d in range(1, m) if w[d - 1] >= w[d]}
     bounded = which is not VhcFilter.ALL
 
-    results: list[tuple[tuple[int, int], ...]] = []
-    hooks: list[tuple[int, int]] = []
+    results: list[HookConfig] = []
+    hooks: list[Hook] = []
     # ne endpoint j -> [hook count, has descent hook, has small hook, blocked]
     ne_state: dict[int, list] = {}
 
@@ -202,38 +186,31 @@ def enumerate_vhc(
 ) -> Iterator[HookConfig]:
     """Yield every valid hook configuration passing the filter, exactly once.
 
-    Canonical order: lexicographic in the configuration's (sw index, ne index)
-    sequence.  Nothing streams: the depth-first search collects every
-    configuration and sorts them before the first is yielded, so memory grows
-    with their number.
+    Canonical order: lexicographic in the (i, j) pairs.  Nothing streams: the
+    depth-first search collects every configuration and sorts them before the
+    first is yielded, so memory grows with their number.
     """
     if len(w) > limit:
         raise SizeLimitError(f"word length {len(w)} exceeds limit {limit}")
-    for pairs in sorted(_enumerate_pairs(w, which)):
-        yield tuple(Hook((i, w[i - 1]), (j, w[j - 1])) for i, j in pairs)
+    yield from sorted(_enumerate_pairs(w, which))
 
 
 def is_valid_config(w: Word, config: HookConfig, which: VhcFilter = VhcFilter.ALL) -> bool:
-    """Re-check conditions 1-4 (and the filter) for an arbitrary hook tuple."""
+    """Re-check conditions 1-4 (and the filter) for an arbitrary tuple of (i, j) pairs."""
     m = len(w)
-    pairs = []
-    for hook in config:
-        (i, hi), (j, hj) = hook.sw, hook.ne
-        if not (1 <= i < j <= m) or w[i - 1] != hi or w[j - 1] != hj or hi > hj:
-            return False
-        pairs.append((i, j))
-    if any(pairs[u][0] >= pairs[u + 1][0] for u in range(len(pairs) - 1)):
+    if any(not (1 <= i < j <= m) or w[i - 1] > w[j - 1] for i, j in config):
+        return False
+    if any(a[0] >= b[0] for a, b in zip(config, config[1:])):
         return False
     descents = {d for d in range(1, m) if w[d - 1] >= w[d]}
-    sw_set = {i for i, _ in pairs}
-    if not descents <= sw_set:
+    if not descents <= {i for i, _ in config}:
         return False
-    for i, j in pairs:
-        for i2, j2 in pairs:
+    for i, j in config:
+        for i2, j2 in config:
             if i < i2 < j < j2:
                 return False
     by_ne: dict[int, list[int]] = {}
-    for i, j in pairs:
+    for i, j in config:
         by_ne.setdefault(j, []).append(i)
     for j, sws in by_ne.items():
         if not any(i in descents for i in sws):
@@ -244,12 +221,11 @@ def is_valid_config(w: Word, config: HookConfig, which: VhcFilter = VhcFilter.AL
         return True
     if any(len(sws) > 2 for sws in by_ne.values()):
         return False
-    if which is VhcFilter.R:
-        return all(h.small or not h.horizontal for h in config)
-    if which is VhcFilter.L:
-        for h in config:
-            if h.small and h.horizontal and len(by_ne[h.ne[0]]) > 1:
-                return False
+    if which is VhcFilter.R:  # no horizontal hook that is not small
+        return all(j == i + 1 or w[i - 1] != w[j - 1] for i, j in config)
+    if which is VhcFilter.L:  # no small horizontal hook sharing its northeast endpoint
+        return not any(j == i + 1 and w[i - 1] == w[j - 1] and len(by_ne[j]) > 1
+                       for i, j in config)
     return True
 
 
@@ -257,7 +233,7 @@ def is_valid_config(w: Word, config: HookConfig, which: VhcFilter = VhcFilter.AL
 # Colorings and compositions
 
 
-def _class_positions(w: Word, pairs: list[tuple[int, int]]) -> list[list[int]]:
+def _class_positions(w: Word, config: HookConfig) -> list[list[int]]:
     """Positions per color class: index 0 is the sky, then one per hook.
 
     A hook covers every point strictly between its endpoints (valid hooks
@@ -265,27 +241,20 @@ def _class_positions(w: Word, pairs: list[tuple[int, int]]) -> list[list[int]]:
     horizontal's height count as covered too); its own endpoints never lie
     below it, and its northeast endpoint sees it by ending there.
     """
-    classes: list[list[int]] = [[] for _ in range(len(pairs) + 1)]
+    classes: list[list[int]] = [[] for _ in range(len(config) + 1)]
     for a in range(1, len(w) + 1):
         color = 0
-        for r, (i, j) in enumerate(pairs, start=1):
+        for r, (i, j) in enumerate(config, start=1):
             if i < a <= j:
                 color = r  # hooks are sw-sorted, so later r means rightmost sw
         classes[color].append(a)
     return classes
 
 
-def _require_valid(w: Word, config: HookConfig) -> list[tuple[int, int]]:
-    if not is_valid_config(w, config):
-        raise DomainError(f"not a valid hook configuration of {w}: {config}")
-    return [(h.sw[0], h.ne[0]) for h in config]
-
-
 def induced_coloring(w: Word, config: HookConfig) -> tuple[int, ...]:
     """Color of each point, by position: 0 for the sky, r for hook number r."""
-    pairs = _require_valid(w, config)
     colors = [0] * len(w)
-    for r, positions in enumerate(_class_positions(w, pairs)):
+    for r, positions in enumerate(color_classes(w, config)):
         for a in positions:
             colors[a - 1] = r
     return tuple(colors)
@@ -293,7 +262,9 @@ def induced_coloring(w: Word, config: HookConfig) -> tuple[int, ...]:
 
 def color_classes(w: Word, config: HookConfig) -> list[list[int]]:
     """Positions in each color class, sky first."""
-    return _class_positions(w, _require_valid(w, config))
+    if not is_valid_config(w, config):
+        raise DomainError(f"not a valid hook configuration of {w}: {config}")
+    return _class_positions(w, config)
 
 
 def induced_composition(w: Word, config: HookConfig) -> Composition:
@@ -305,7 +276,7 @@ def config_to_dict(w: Word, config: HookConfig) -> dict:
     """JSON-ready rendering: hooks with endpoints, the composition, its weight."""
     q = induced_composition(w, config)
     return {
-        "hooks": [{"sw": list(h.sw), "ne": list(h.ne)} for h in config],
+        "hooks": [{"sw": [i, w[i - 1]], "ne": [j, w[j - 1]]} for i, j in config],
         "q": list(q),
         "catalan": catalan_product(q),
     }
@@ -367,8 +338,7 @@ def count_preimages_vhc(w: Word, variant: SortVariant, limit: int = MAX_VHC_LEN)
     """
     total = 0
     for config in enumerate_vhc(w, filter_for(variant), limit):
-        pairs = [(h.sw[0], h.ne[0]) for h in config]
-        q = tuple(len(ps) for ps in _class_positions(w, pairs))
+        q = tuple(len(ps) for ps in _class_positions(w, config))
         total += catalan_product(q)
     return total
 
@@ -445,13 +415,12 @@ def build_preimage_trees(
         yield None
         return
 
-    pairs = [(h.sw[0], h.ne[0]) for h in config]
-    classes = _class_positions(w, pairs)
+    classes = _class_positions(w, config)
     for positions in classes:  # heights strictly increase in each class (a theorem)
         heights = [w[p - 1] for p in positions]
         if any(a >= b for a, b in zip(heights, heights[1:])):
             raise InvariantError(f"class heights not increasing: {heights}")
-    sw_to_ne = dict(pairs)
+    sw_to_ne = dict(config)
     place: dict[int, tuple[int, int]] = {}  # position -> (class, index in class)
     for r, positions in enumerate(classes):
         for t, p in enumerate(positions):

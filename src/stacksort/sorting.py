@@ -19,6 +19,7 @@ of one content, walking each word on their paths once.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import groupby
 from typing import Callable, Iterable
 
 from .words import (
@@ -194,7 +195,9 @@ def distances(words: Iterable[Word], variant: SortVariant) -> list[int]:
     if not words:
         return []
     target = tuple(sorted(words[0]))  # the identity word of the content
-    bound = distance_bound(content(target), variant)
+    # Both operators only compare letters, so the bound of the distinct
+    # letters' multiplicities holds, without a content entry per value.
+    bound = distance_bound(tuple(len(list(g)) for _, g in groupby(target)), variant)
     known = {target: 0}
     out = []
     for w in words:

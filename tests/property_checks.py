@@ -28,19 +28,18 @@ def check_vhc_conditions(w) -> int:
     for config in all_configs:
         seen += 1
         assert is_valid_config(w, config), (w, config)
-        pairs = [(h.sw[0], h.ne[0]) for h in config]
         # condition 1: distinct, increasing southwest indices
-        assert all(a < b for (a, _), (b, _) in zip(pairs, pairs[1:])), (w, pairs)
+        assert all(a < b for (a, _), (b, _) in zip(config, config[1:])), (w, config)
         # condition 2: descent tops are southwest endpoints
-        assert tops <= {i for i, _ in pairs}, (w, pairs)
+        assert tops <= {i for i, _ in config}, (w, config)
         # no hook passes strictly below a point
-        for i, j in pairs:
-            assert all(x <= w[j - 1] for x in w[i:j - 1]), (w, pairs)
+        for i, j in config:
+            assert all(x <= w[j - 1] for x in w[i:j - 1]), (w, config)
         # no perpendicular crossing away from shared endpoints
-        for i, j in pairs:
-            for i2, j2 in pairs:
+        for i, j in config:
+            for i2, j2 in config:
                 if i < i2 < j:
-                    assert not (w[i2 - 1] < w[j - 1] < w[j2 - 1]), (w, pairs)
+                    assert not (w[i2 - 1] < w[j - 1] < w[j2 - 1]), (w, config)
     # the filtered families are exactly the predicate-defined subsets
     for which in (VhcFilter.BINARY, VhcFilter.R, VhcFilter.L):
         subset = [c for c in all_configs if is_valid_config(w, c, which)]
@@ -62,7 +61,7 @@ def check_coloring_properties(w) -> int:
             heights = [w[p - 1] for p in positions]
             assert heights == sorted(heights) and len(set(heights)) == len(heights), (
                 w, config, positions)
-        ne_positions = {h.ne[0] for h in config}
+        ne_positions = {j for _, j in config}
         for positions in classes:
             for p in positions:
                 if p in ne_positions:

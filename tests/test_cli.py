@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import stacksort
-from stacksort import catalan, cli, counting, experiments, parse_word
+from stacksort import catalan, cli, counting, experiments, parse_word, sort_via_stack, sorting
 from stacksort.cli import main
 
 
@@ -32,6 +32,28 @@ def test_sort_trace_chain(capsys):
     assert lines[1].endswith("3624156")
     assert lines[-1].endswith("1234566")
     assert len(lines) == 4
+
+
+def test_sort_stops_at_the_identity(capsys, monkeypatch):
+    # the identity is a fixed point of both operators, so no step past it is run
+    walked = []
+
+    def counted(w, variant):
+        walked.append(w)
+        assert len(walked) <= 4, "sorted past the identity"
+        return sort_via_stack(w, variant)
+
+    monkeypatch.setattr(sorting, "sort_via_stack", counted)
+    code, out, _ = run(capsys, "sort", "3662451", "--map", "fast", "--steps", str(10**12))
+    assert code == 0 and out == "1234566\n" and len(walked) == 4
+    walked.clear()
+    code, out, _ = run(capsys, "--format", "json", "sort", "3662451", "--map", "slow",
+                       "--steps", "6")
+    chain = json.loads(out)["chain"]
+    assert code == 0 and chain[:3] == ["3662451", "3624156", "3214566"]
+    assert chain[3:] == ["1234566"] * 4
+    code, out, _ = run(capsys, "sort", "1123", "--map", "slow", "--steps", "2", "--trace")
+    assert code == 0 and out == "1123\n  =slow=> 1123\n  =slow=> 1123\n"
 
 
 def test_sort_spaced_word_with_large_letters(capsys):
@@ -61,6 +83,12 @@ def test_parallel_clamped_to_cpu_count(monkeypatch, capsys, fake_pools):
 def test_distance(capsys):
     code, out, _ = run(capsys, "distance", "3662451")
     assert code == 0 and out.strip() == "fast=4 slow=3 gap=1"
+
+
+def test_distance_of_a_word_with_a_huge_letter(capsys):
+    # the bound is read off the distinct letters, not a content entry per value
+    code, out, _ = run(capsys, "distance", "2 1 1000000000")
+    assert code == 0 and out.strip() == "fast=1 slow=1 gap=0"
 
 
 def test_distance_json(capsys):

@@ -2,6 +2,7 @@ import hashlib
 import os
 from collections import Counter
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,7 @@ from stacksort import (
     count_fast_sortable,
     count_preimages,
     count_slow_sortable,
+    counting,
     distance,
     distance_census,
     enumerate_normalized,
@@ -23,6 +25,7 @@ from stacksort import (
     find_exceptional,
     format_word,
     gap_census,
+    hooks,
     identity,
     image_pair_counts,
     normalized_count,
@@ -276,3 +279,30 @@ def test_length_ten_census():
     lines = "".join(f"{format_word(w)} {df} {ds}\n" for w, df, ds in census.exceptional)
     assert hashlib.sha256(lines.encode()).hexdigest() == (
         "48019293f300ea4b7d93e1f2e0ca2c0170d2e08a8c926cccffb25703492e5448")
+
+
+def test_traced_workloads_read_every_assigned_layer(monkeypatch):
+    # The benchmark's traced run fails when a layer it assigns to a workload
+    # reads zero; run each workload's calls once under its tracer to see it here.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    run = pytest.importorskip("run", reason="perfbench has no run module")
+    tracer = pytest.importorskip("tracer", reason="perfbench has no tracer module")
+    if not all(hasattr(run, name) for name in ("ASSIGNED", "layer_metrics")):
+        pytest.skip("perfbench's run module has no ASSIGNED or layer_metrics")
+    monkeypatch.setattr(experiments, "_census_cache", {})
+    traced = tracer.Tracer()
+    traced.install()  # fails if a wrapped library name is gone
+    try:  # through the module attributes, which the tracer wraps
+        experiments.distance_census(7, parallelism=1)  # length 6 has no exceptional words
+        hooks.count_preimages((1, 3, 2, 4), FAST)
+        hooks.in_order_preimages((2, 1, 3, 4), SLOW)
+        counting.brute_count_avoiders((1, 1, 1, 1), [(2, 3, 1)])
+        counting.count_fast_sortable((2, 1, 2))
+        counting.count_slow_sortable((2, 1, 2))
+    finally:
+        traced.uninstall()
+    metrics = run.layer_metrics(traced.summary())
+    zero = [name for workload in ("census", "preimages", "avoiders")
+            for name in run.ASSIGNED[workload]
+            if name != "experiments.parallel_efficiency" and not metrics[name]]  # needs two runs
+    assert zero == []

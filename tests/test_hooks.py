@@ -5,7 +5,6 @@ import pytest
 
 from stacksort import (
     DomainError,
-    Hook,
     SizeLimitError,
     SortVariant,
     TreeClass,
@@ -34,10 +33,6 @@ from stacksort.hooks import _shape_parents, config_to_dict, filter_for
 FAST, SLOW = SortVariant.FAST, SortVariant.SLOW
 
 
-def make_config(w, pairs):
-    return tuple(Hook((i, w[i - 1]), (j, w[j - 1])) for i, j in pairs)
-
-
 def test_descent_tops():
     # descents are weak: 21133 has them at 1 (2>=1), 2 (1>=1) and 4 (3>=3)
     assert descent_tops(parse_word("21133")) == ((1, 2), (2, 1), (4, 3))
@@ -45,13 +40,6 @@ def test_descent_tops():
     assert descent_tops((4, 3, 2, 1)) == ((1, 4), (2, 3), (3, 2))
     assert descent_tops((1, 2, 3)) == ()
     assert descent_tops(()) == ()
-
-
-def test_hook_flags():
-    w = parse_word("21133")
-    long_hook, short_hook = make_config(w, [(1, 5), (4, 5)])
-    assert not long_hook.horizontal and not long_hook.small
-    assert short_hook.horizontal and short_hook.small
 
 
 def test_catalan_values():
@@ -85,7 +73,7 @@ def test_empty_and_singleton_words():
 def test_configs_of_212():
     w = (2, 1, 2)
     all_configs = list(enumerate_vhc(w, VhcFilter.ALL))
-    assert all_configs == [make_config(w, [(1, 3), (2, 3)])]
+    assert all_configs == [((1, 3), (2, 3))]
     assert list(enumerate_vhc(w, VhcFilter.L)) == all_configs
     assert list(enumerate_vhc(w, VhcFilter.R)) == []
     config = all_configs[0]
@@ -99,8 +87,8 @@ def test_configs_of_112():
     w = (1, 1, 2)
     configs = list(enumerate_vhc(w, VhcFilter.ALL))
     assert configs == [
-        make_config(w, [(1, 2)]),
-        make_config(w, [(1, 3), (2, 3)]),
+        ((1, 2),),
+        ((1, 3), (2, 3)),
     ]
     assert induced_composition(w, configs[0]) == (2, 1)
     assert induced_composition(w, configs[1]) == (1, 1, 1)
@@ -110,7 +98,7 @@ def test_configs_of_112():
 def test_equal_height_interior_point_is_covered():
     # the long hook of 122 covers the point (2,2) sitting at its own height
     w = (1, 2, 2)
-    config = make_config(w, [(1, 3), (2, 3)])
+    config = ((1, 3), (2, 3))
     assert induced_coloring(w, config) == (0, 1, 2)
     assert count_preimages(w, FAST) == 3 == len(brute_preimages(w, FAST))
 
@@ -118,12 +106,32 @@ def test_equal_height_interior_point_is_covered():
 def test_induced_coloring_validates():
     w = (1, 1, 2)
     with pytest.raises(DomainError):
-        induced_coloring(w, make_config(w, [(2, 3)]))  # descent top 1 uncovered
+        induced_coloring(w, ((2, 3),))  # descent top 1 uncovered
+
+
+@pytest.mark.parametrize("w, config", [
+    ((2, 1, 2), ((0, 3), (1, 3), (2, 3))),  # southwest index 0
+    ((2, 1, 2), ((1, 3), (2, 3), (3, 4))),  # northeast index m + 1
+    ((2, 1, 2), ((1, 3), (2, 3), (3, 3))),  # i = j
+    ((1, 1, 1), ((1, 2), (2, 3), (3, 2))),  # i > j
+    ((2, 1), ((1, 2),)),  # northeast endpoint lower than the southwest one
+    ((2, 1, 2), ((2, 3), (1, 3))),  # southwest indices out of order
+    ((2, 1, 2), ((1, 3), (1, 3), (2, 3))),  # a repeated southwest index
+])
+def test_malformed_configs_are_rejected(w, config):
+    # each passes every other condition once its own check is dropped
+    for which in VhcFilter:
+        assert not is_valid_config(w, config, which)
+    with pytest.raises(DomainError):
+        color_classes(w, config)
+    for variant in SortVariant:
+        with pytest.raises(DomainError):
+            list(build_preimage_trees(w, config, variant))
 
 
 def test_figure_configuration_of_211232124567():
     w = parse_word("211232124567")
-    config = make_config(w, [(1, 4), (2, 3), (3, 4), (5, 11), (6, 8), (7, 8), (10, 11)])
+    config = ((1, 4), (2, 3), (3, 4), (5, 11), (6, 8), (7, 8), (10, 11))
     assert config in list(enumerate_vhc(w, VhcFilter.BINARY))
     classes = color_classes(w, config)
     assert [(p, w[p - 1]) for p in classes[0]] == [(1, 2), (5, 3), (12, 7)]
@@ -169,10 +177,9 @@ def test_enumeration_matches_subset_oracle(normalized):
                 pairs = tuple(
                     (i, j) for (i, _), j in zip(options, choice) if j is not None
                 )
-                config = make_config(w, pairs)
                 for which in VhcFilter:
-                    if is_valid_config(w, config, which):
-                        expected.setdefault(which, set()).add(config)
+                    if is_valid_config(w, pairs, which):
+                        expected.setdefault(which, set()).add(pairs)
             for which in VhcFilter:
                 enumerated = list(enumerate_vhc(w, which))
                 assert len(enumerated) == len(set(enumerated))
@@ -182,8 +189,7 @@ def test_enumeration_matches_subset_oracle(normalized):
 def test_enumeration_order_is_canonical(normalized):
     for w in normalized(4):
         configs = list(enumerate_vhc(w, VhcFilter.ALL))
-        keys = [tuple((h.sw[0], h.ne[0]) for h in c) for c in configs]
-        assert keys == sorted(keys)
+        assert configs == sorted(configs)
 
 
 def test_build_preimage_trees_counts(normalized):
@@ -201,7 +207,7 @@ def test_build_preimage_trees_single_and_double_classes():
     w = (1, 1, 2)
     empty_hookless = list(enumerate_vhc((1, 2, 3), VhcFilter.ALL))
     assert empty_hookless == [()]
-    config = make_config(w, [(1, 2)])
+    config = ((1, 2),)
     for variant in SortVariant:
         assert sum(1 for _ in build_preimage_trees((1, 2, 3), (), variant)) == catalan(3)
         # one class of size 2
@@ -210,7 +216,7 @@ def test_build_preimage_trees_single_and_double_classes():
 
 def test_build_preimage_trees_requires_family_membership():
     w = (2, 1, 2)
-    config = make_config(w, [(1, 3), (2, 3)])
+    config = ((1, 3), (2, 3))
     with pytest.raises(DomainError):
         list(build_preimage_trees(w, config, FAST))  # config is not in the R family
     trees = list(build_preimage_trees(w, config, SLOW))
@@ -307,7 +313,7 @@ def test_enumerate_vhc_limit():
 
 def test_config_to_dict():
     w = (2, 1, 2)
-    config = make_config(w, [(1, 3), (2, 3)])
+    config = ((1, 3), (2, 3))
     entry = config_to_dict(w, config)
     assert entry == {
         "hooks": [{"sw": [1, 2], "ne": [3, 2]}, {"sw": [2, 1], "ne": [3, 2]}],
