@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Every operation of the library is reachable from here with machine-readable
-output (--format json; count tables also speak csv).  Words are given as
+output (--format json; count-sortable also speaks csv).  Words are given as
 digit strings when all letters fit in one digit, otherwise space or comma
 separated.  Exit codes: 0 success, 1 domain error, 2 size-limit refusal,
 usage error or unreadable or unwritable cache file.
@@ -49,7 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Stack-sorting operators on words: sorting, distances, "
         "preimage counting, sortable-word enumeration, and search experiments.",
     )
-    parser.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
+    parser.add_argument("--format", choices=("plain", "json", "csv"), default="plain",
+                        help="output format; csv is for count-sortable only")
     parser.add_argument("--parallel", type=_int_at_least(1), default=1, metavar="N",
                         help="worker processes for the search experiments (default 1, "
                         "at most the number of CPUs)")
@@ -363,7 +364,10 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.format == "csv" and args.command != "count-sortable":
+        parser.error("--format csv is written only by count-sortable")
     if args.cache:
         from . import counting
 

@@ -8,7 +8,7 @@ outright.  It sorts no word: per content class, `image_pair_counts` gives the
 word's distance is one more than its image's, and `distances` walks each
 distinct image once per operator.  The pairs come from one two-way split of
 each word at the last copy of its largest letter.  Only the pairs where slow
-wins are expanded back into their words, by cutting at every copy of it.
+wins are expanded back into their words, by running that split backwards.
 Everything downstream (the exceptional-word census, gap counts, conjecture
 scans) reads off one such scan, which is cached per length in-process.
 
@@ -139,20 +139,23 @@ def _census_content(c: tuple[int, ...]) -> tuple[dict[int, int], list, int]:
     so a pair (f, s) adds its count at gap d_fast(f) - d_slow(s).
     `distances` walks the distinct fast images once and the distinct slow
     images once.  Only the pairs with a positive gap are expanded back into
-    words, through the block pairs kept in `memo`.
+    words, by `_words_with_pair`, and their number must equal the pairs' count.
     """
     memo: dict = {}
     pairs = _pair_counts(c, memo)
     fast_d = _image_distances([f for f, _ in pairs], SortVariant.FAST)
     slow_d = _image_distances([s for _, s in pairs], SortVariant.SLOW)
     hist: dict[int, int] = {}
-    wanted: dict[tuple[Word, Word], tuple[int, int]] = {}
     for (f, s), count in pairs.items():
         gap = fast_d[f] - slow_d[s]
         hist[gap] = hist.get(gap, 0) + count
-        if gap > 0:
-            wanted[f, s] = (fast_d[f] + 1, slow_d[s] + 1)
-    return hist, _words_with_pairs(c, wanted, memo), sum(hist.values())
+    wanted = [(f, s) for f, s in pairs if fast_d[f] > slow_d[s]]
+    listed: dict = {}
+    words = sorted((w, fast_d[f] + 1, slow_d[s] + 1) for f, s in wanted
+                   for w in _words_with_pair(c, f, s, memo, listed))
+    if len(words) != sum(pairs[pair] for pair in wanted):
+        raise InvariantError(f"the exceptional pairs of W_{c} expand to {len(words)} words")
+    return hist, words, sum(hist.values())
 
 
 def _image_distances(images: list[Word], variant: SortVariant) -> dict[Word, int]:
@@ -160,48 +163,29 @@ def _image_distances(images: list[Word], variant: SortVariant) -> dict[Word, int
     return dict(zip(distinct, distances(distinct, variant)))
 
 
-def _words_with_pairs(
-    c: tuple[int, ...], wanted: dict[tuple[Word, Word], tuple[int, int]], block_pairs: dict
-) -> list[tuple[Word, int, int]]:
-    """The words of W_c whose pair is in `wanted`, with their distances, in
-    lexicographic order.
+def _words_with_pair(c: ContentVector, f: Word, s: Word, memo: dict, listed: dict) -> list[Word]:
+    """The words of W_c with pair (f, s), for (f, s) in memo[c], as
+    `_pair_counts` left it.
 
-    Repeating the split of `image_pair_counts` on A until it is free of n
-    writes w = A_1 n A_2 n ... n A_{k+1} with n-free blocks, and gives
-
-        fast(w) = fast(A_1) fast(A_2) ... fast(A_{k+1}) n^k,
-        slow(w) = slow(A_1) slow(A_2) n slow(A_3) n ... n slow(A_{k+1}) n.
-
-    So the n's of s cut it into slow(A_1) slow(A_2), slow(A_3), ...,
-    slow(A_{k+1}); only the length of A_1 is free.
-    Each choice of it cuts f as well, and gives words iff every piece is a
-    pair of its block's content in `block_pairs`.  The block words behind
-    each such piece are listed once per block content, by enumeration and
-    two stack passes.
+    This runs the split w = A n B of `image_pair_counts` backwards.  With
+    k >= 2 copies of n the last n but one of s ends slow(A); with k = 1 every
+    length of A is tried.  A split gives words iff both parts' pairs are in
+    the memo.  A is split again while it holds an n; the n-free parts are
+    listed by `_block_words`.
     """
-    n = len(c)
-    listed: dict[tuple[int, ...], dict[tuple[Word, Word], list[Word]]] = {}
-    out: list[tuple[Word, int, int]] = []
-    for (f, s), (fast_d, slow_d) in wanted.items():
-        ends = [i for i, x in enumerate(s) if x == n]
-        head = s[:ends[0]]
-        later = [s[a + 1:b] for a, b in zip(ends, ends[1:])]
-        for j in range(len(head) + 1):
-            cuts = []
-            i = 0
-            for slow_piece in (head[:j], head[j:], *later):
-                fast_piece = f[i:i + len(slow_piece)]
-                i += len(slow_piece)
-                cuts.append((content(fast_piece), (fast_piece, slow_piece)))
-            if not all(pair in block_pairs[b] for b, pair in cuts):
-                continue
-            for parts in product(*(_block_words(b, listed)[pair] for b, pair in cuts)):
-                w = list(parts[0])
-                for part in parts[1:]:
-                    w.append(n)
-                    w.extend(part)
-                out.append((tuple(w), fast_d, slow_d))
-    out.sort()
+    n, k = len(c), c[-1]
+    head = s[:-1]
+    lengths = [len(head) - head[::-1].index(n)] if k > 1 else range(len(s))
+    out: list[Word] = []
+    for i in lengths:  # the length of A
+        j = i - k + 1  # fast(A) is f[:j] and its k - 1 trailing n's
+        left, right = (f[:j] + (n,) * (k - 1), s[:i]), (f[j:-k], s[i:-1])
+        a, b = content(left[1]), content(right[1])
+        if left not in memo[a] or right not in memo[b]:
+            continue
+        lefts = _words_with_pair(a, *left, memo, listed) if k > 1 else _block_words(a, listed)[left]
+        rights = _block_words(b, listed)[right]
+        out += [x + (n,) + y for x in lefts for y in rights]
     return out
 
 

@@ -346,11 +346,18 @@ def count_preimages_vhc(w: Word, variant: SortVariant, limit: int = MAX_VHC_LEN)
 def brute_preimages(
     w: Word, variant: SortVariant, space_limit: int = MAX_SPACE
 ) -> tuple[Word, ...]:
-    """All preimages of w by exhausting its content class, in lexicographic order."""
-    c = content(w)
+    """All preimages of w by exhausting its content class, in lexicographic order.
+
+    Both operators only compare letters, so the class is walked over w's
+    letters relabelled 1..d in order, and its preimages are mapped back.
+    """
+    letters = sorted(set(w))
+    r = tuple(map({x: i for i, x in enumerate(letters, start=1)}.get, w))
+    c = content(r)
     if word_space_size(c) > space_limit:
         raise SizeLimitError(f"|W_c| = {word_space_size(c)} exceeds limit {space_limit}")
-    return tuple(u for u in enumerate_words(c) if sort_via_stack(u, variant) == w)
+    preimages = (u for u in enumerate_words(c) if sort_via_stack(u, variant) == r)
+    return tuple(tuple(letters[x - 1] for x in u) for u in preimages)
 
 
 def in_order_preimages(

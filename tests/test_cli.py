@@ -156,6 +156,16 @@ def test_count_sortable_csv(capsys):
     assert lines[1] == '"2 2",6,3'
 
 
+@pytest.mark.parametrize("argv", [["gap-census", "--len", "5", "--gap", "0"],
+                                  ["distance", "21"], ["sort", "21", "--map", "fast"]])
+def test_csv_is_refused_outside_count_sortable(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["--format", "csv", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "count-sortable" in captured.err
+
+
 def test_count_sortable_runs_only_the_recurrence_it_prints(monkeypatch, capsys):
     def refuse(c):
         raise AssertionError("this recurrence is not printed")

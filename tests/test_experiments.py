@@ -194,6 +194,44 @@ def test_image_pair_counts_agree_with_the_recurrences():
         assert two_pass == 2 * factorial(3 * n) // (factorial(n + 1) * factorial(2 * n + 1))
 
 
+def test_words_with_pair_lists_the_words_of_each_pair():
+    # every pair of the class, gap <= 0 included, against a sort of every word
+    contents = [c for m in range(1, 8) for c in positive_compositions(m)]
+    contents += [(0, 2, 2), (2, 0, 1), (0, 0, 3, 0, 1), (0, 3, 0, 2), (3, 0, 0, 3)]
+    for c in contents:
+        expected: dict = {}
+        for w in enumerate_words(c):
+            key = (sort_via_stack(w, FAST), sort_via_stack(w, SLOW))
+            expected.setdefault(key, []).append(w)
+        memo: dict = {}
+        listed: dict = {}
+        pairs = experiments._pair_counts(c, memo)
+        assert pairs.keys() == expected.keys(), c
+        for f, s in pairs:
+            words = experiments._words_with_pair(c, f, s, memo, listed)
+            assert sorted(words) == expected[f, s], (c, f, s)
+
+
+def test_census_checks_the_number_of_words_it_lists(monkeypatch):
+    # the first block content listed loses one word of each pair: the words
+    # then fall short of the wanted pairs' count, and the census must raise
+    block_words = experiments._block_words
+    seen = []
+
+    def lossy(b, listed):
+        by_pair = block_words(b, listed)
+        if seen:
+            return by_pair
+        seen.append(b)
+        return {pair: words[1:] for pair, words in by_pair.items()}
+
+    monkeypatch.setattr(experiments, "_block_words", lossy)
+    monkeypatch.setattr(experiments, "_census_cache", {})
+    with pytest.raises(InvariantError):
+        distance_census(7)
+    assert seen
+
+
 def test_census_pool_is_clamped(monkeypatch, fake_pools):
     # the pool never outnumbers the CPUs or the content classes (4 at length 3)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)

@@ -27,6 +27,7 @@ from stacksort import (
     is_valid_config,
     parse_word,
     postorder,
+    sort_via_stack,
 )
 from stacksort.hooks import _shape_parents, config_to_dict, filter_for
 
@@ -255,6 +256,18 @@ def test_brute_preimages_of_identity_are_avoiders():
         w = identity(c)
         assert len(brute_preimages(w, FAST)) == brute_count_avoiders(c, [(2, 3, 1)])
         assert len(brute_preimages(w, SLOW)) == brute_count_avoiders(c, [(2, 3, 1), (2, 2, 1)])
+
+
+def test_brute_preimages_of_a_word_with_huge_letters():
+    # the class is walked over the letters relabelled 1..d, so a huge letter
+    # costs no more than a small one
+    for text in ("2 1 100000000", "2 1 3 2000000"):
+        w = parse_word(text)
+        for variant in (FAST, SLOW):
+            found = brute_preimages(w, variant, space_limit=100)
+            assert len(found) == count_preimages(w, variant)
+            assert list(found) == sorted(set(found))
+            assert all(sorted(u) == sorted(w) and sort_via_stack(u, variant) == w for u in found)
 
 
 def test_brute_preimages_limit():
