@@ -146,10 +146,12 @@ def _census_content(c: tuple[int, ...]) -> tuple[dict[int, int], list, int]:
     fast_d = _image_distances([f for f, _ in pairs], SortVariant.FAST)
     slow_d = _image_distances([s for _, s in pairs], SortVariant.SLOW)
     hist: dict[int, int] = {}
+    wanted = []
     for (f, s), count in pairs.items():
         gap = fast_d[f] - slow_d[s]
         hist[gap] = hist.get(gap, 0) + count
-    wanted = [(f, s) for f, s in pairs if fast_d[f] > slow_d[s]]
+        if gap > 0:
+            wanted.append((f, s))
     listed: dict = {}
     words = sorted((w, fast_d[f] + 1, slow_d[s] + 1) for f, s in wanted
                    for w in _words_with_pair(c, f, s, memo, listed))
