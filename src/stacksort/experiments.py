@@ -146,7 +146,7 @@ def _census_content(c: tuple[int, ...]) -> tuple[dict[int, int], list, int]:
     fast_d = _image_distances([f for f, _ in pairs], SortVariant.FAST)
     slow_d = _image_distances([s for _, s in pairs], SortVariant.SLOW)
     hist: dict[int, int] = {}
-    wanted = []
+    wanted: list[tuple[Word, Word]] = []
     for (f, s), count in pairs.items():
         gap = fast_d[f] - slow_d[s]
         hist[gap] = hist.get(gap, 0) + count

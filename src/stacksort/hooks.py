@@ -352,7 +352,8 @@ def brute_preimages(
     letters relabelled 1..d in order, and its preimages are mapped back.
     """
     letters = sorted(set(w))
-    r = tuple(map({x: i for i, x in enumerate(letters, start=1)}.get, w))
+    rank = {x: i for i, x in enumerate(letters, start=1)}
+    r = tuple(rank[x] for x in w)
     c = content(r)
     if word_space_size(c) > space_limit:
         raise SizeLimitError(f"|W_c| = {word_space_size(c)} exceeds limit {space_limit}")
