@@ -19,8 +19,6 @@ import sys
 
 from . import words
 
-CACHE_ENV = "STACKSORT_CACHE"
-
 
 def _print_json(payload, indent: int | None = None) -> None:
     import json
@@ -59,8 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "preimage listing (the dp count has no cap)")
     parser.add_argument("--space-limit", type=int, default=words.MAX_SPACE, metavar="SIZE",
                         help="maximum content-class size for brute-force passes")
-    parser.add_argument("--cache", metavar="PATH", default=os.environ.get(CACHE_ENV),
-                        help=f"memo cache file (or set {CACHE_ENV}); purely a warm start")
+    parser.add_argument("--cache", metavar="PATH",
+                        help="memo cache file, one entry per memo key; purely a warm start")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sort", help="apply an operator, optionally tracing the chain")
@@ -253,11 +251,10 @@ def _cmd_uniform(args) -> None:
 def _parse_rule(args):
     from . import counting
 
-    if args.rule == "fibonacci":
-        return counting.FIBONACCI_TREE
-    if args.rule == "catalan-power":
-        spec = counting.uniform_avoider_tree(args.ell)
-        return counting.GenTreeSpec(args.axiom, spec.rule) if args.axiom else spec
+    if args.rule in ("fibonacci", "catalan-power"):
+        spec = (counting.FIBONACCI_TREE if args.rule == "fibonacci"
+                else counting.uniform_avoider_tree(args.ell))
+        return spec if args.axiom is None else counting.GenTreeSpec(args.axiom, spec.rule)
     table: dict[int, tuple[int, ...]] = {}
     try:
         for clause in args.rule.split(";"):

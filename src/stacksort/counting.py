@@ -15,10 +15,10 @@ entries.  The slow count is taken on the zero-free content and never reads
 its last entry, so `_slow_memo` is keyed by the zero-free content without
 its last entry.  A key with a count of 1 (at most one nonzero entry) is not
 stored.  Each step runs on a content as it is asked for, not on a canonical
-one, and each key remembers that content (`_Recurrence.contents`): the fast
-step on a sorted content reads many more distinct keys than on the content
-asked for (3,300 against 666 for (4,)*10), and `save_memo` writes those
-contents.
+one, and each key remembers the first content its value was taken at
+(`_Recurrence.contents`): the fast step on a sorted content reads many more
+distinct keys than on the content asked for (3,300 against 666 for (4,)*10),
+and `save_memo` writes those contents.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def _slow_key(c: ContentVector) -> ContentVector | None:
 
 class _Recurrence(NamedTuple):
     """A memoized recurrence: its step, the memo key of a content (None for a
-    count of 1), the memo, and per key the content its value was taken at."""
+    count of 1), the memo, and per key the first content its value was taken at."""
 
     name: str
     step: Callable[[ContentVector, Callable[[ContentVector], int]], int]
@@ -166,7 +166,7 @@ def _evaluate(rec: _Recurrence, c: ContentVector) -> int:
         else:
             key = key_of(d)
             memo[key] = value
-            contents[key] = d
+            contents.setdefault(key, d)  # the first d's step reads no count of its own key
             pending.pop()
     return value
 
@@ -265,15 +265,10 @@ def brute_count_avoiders(
 def save_memo(path: str) -> None:
     """Write the memo tables to `path` as JSON maps from contents to counts.
 
-    Each memo entry is written as the content its value was taken at,
-    together with every content that one recurrence step on a written
-    content reads.  So each entry follows from the others by one step,
-    whether a loader looks the subterms up by key, as `load_memo` does, or
-    by full content, as this module did when its memos were keyed by full
-    content: such a loader accepts the file too.  The slow step reads the
-    count of c[:i] in place of each c[:i-1] + (k,) with k < c[i-1], so those
-    contents are written as well.  A count that only the file needs is
-    computed on the way.
+    The file holds one entry per memo key, in the order the keys were
+    stored: the first content the key's value was taken at, and that value.
+    A step on that content reads only keys stored before its own, so
+    `load_memo` can check each entry by one step from the entries before it.
 
     The file is written beside `path` under a temporary name and then
     renamed over it, so a failed write leaves the old file whole.
@@ -282,7 +277,7 @@ def save_memo(path: str) -> None:
     import os
 
     data = {
-        rec.name: {",".join(map(str, c)): str(v) for c, v in _closed_entries(rec).items()}
+        rec.name: {",".join(map(str, rec.contents[key])): str(v) for key, v in rec.memo.items()}
         for rec in (_FAST, _SLOW)
     }
     tmp = f"{path}.{os.getpid()}.tmp"
@@ -293,20 +288,6 @@ def save_memo(path: str) -> None:
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
-
-
-def _closed_entries(rec: _Recurrence) -> dict[ContentVector, int]:
-    """The counts of the memo's contents and of every content their steps read."""
-    out: dict[ContentVector, int] = {}
-    todo = list(rec.contents.values())
-    while todo:
-        c = todo.pop()
-        if len(c) > 1 and c not in out:
-            out[c] = _evaluate(rec, c)
-            rec.step(c, lambda d: todo.append(d) or 0)
-            if rec is _SLOW:  # the c[:i-1] + (k,) that c[:i] stands for in `_slow_step`
-                todo.extend(c[:i - 1] + (k,) for i in range(2, len(c)) for k in range(1, c[i - 1]))
-    return out
 
 
 def load_memo(path: str) -> None:
@@ -355,11 +336,13 @@ def _check_entries(
     """Per memo key, a loaded content and its count, each entry checked by
     one recurrence step.
 
-    Checked smallest first by (sum, length), so the error names the smallest
-    wrong entry.  A step on a content reads smaller contents only, and looks
-    their counts up by key in the entries already checked, the in-process
-    table or the base case.  So every accepted value is exact, and a loaded
-    file cannot change a result.
+    Entries are checked in the order of their keys by (sum, length), and
+    contents with one key shortest first, so the error names the smallest
+    wrong entry.  A step reads keys that come before its own, or its own
+    key through a shorter content (a fast content with a zero second
+    entry), and looks their counts up in the entries already checked, the
+    in-process table or the base case.  So every accepted value is exact,
+    and a loaded file cannot change a result.
     """
     checked: dict[ContentVector, tuple[ContentVector, int]] = {}
 
@@ -372,7 +355,11 @@ def _check_entries(
             raise ValueError(f"the {rec.name!r} table lacks {d}, which the recurrence needs")
         return value
 
-    for c in sorted(parsed, key=lambda c: (sum(c), len(c))):
+    def order(c: ContentVector) -> tuple[int, int, int]:
+        key = rec.key(c) or ()
+        return sum(key), len(key), len(c)
+
+    for c in sorted(parsed, key=order):
         expected = 1 if len(c) <= 1 else rec.step(c, count)
         if parsed[c] != expected:
             raise ValueError(f"{rec.name!r} entry {c} is {parsed[c]}; the recurrence gives {expected}")

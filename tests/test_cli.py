@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import stacksort
-from stacksort import catalan, cli, counting, experiments, parse_word, sort_via_stack, sorting
+from stacksort import catalan, counting, experiments, parse_word, sort_via_stack, sorting
 from stacksort.cli import main
 
 
@@ -199,6 +199,13 @@ def test_gentree_named_and_inline(capsys):
         capsys, "gentree", "--rule", "1:2;2:1,2", "--axiom", "2", "--depth", "5"
     )
     assert code == 0 and out.strip() == "1 2 3 5 8"
+    # a given axiom replaces a named rule's own, 0 included
+    code, out, _ = run(capsys, "gentree", "--rule", "fibonacci", "--axiom", "1", "--depth", "5")
+    assert code == 0 and out.strip() == "1 1 2 3 5"
+    code, out, _ = run(
+        capsys, "gentree", "--rule", "catalan-power", "--ell", "1", "--axiom", "0", "--depth", "4"
+    )
+    assert code == 0 and out.strip() == "1 0 0 0"
 
 
 def test_exceptional_scan(capsys):
@@ -337,6 +344,15 @@ def test_failed_cache_write_keeps_the_old_file(tmp_path, capsys, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["memo.json"]
 
 
+def test_cache_is_set_only_by_the_option(tmp_path, capsys, monkeypatch):
+    # no environment variable sets the cache file; only --cache does
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("STACKSORT_CACHE", str(tmp_path / "memo.json"))
+    assert run(capsys, "count-sortable", "--map", "slow", "2", "2")[0] == 0
+    assert run(capsys, "sort", "2221", "--map", "fast")[0] == 0
+    assert list(tmp_path.iterdir()) == []
+
+
 def readme_block(section: str, fence: str) -> str:
     """The first code block of one README section."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -354,8 +370,7 @@ def test_readme_tour_has_commands():
 
 
 @pytest.mark.parametrize("line", readme_tour())
-def test_readme_tour_command_succeeds(line, capsys, monkeypatch):
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+def test_readme_tour_command_succeeds(line, capsys):
     code, out, err = run(capsys, *shlex.split(line)[1:])
     assert code == 0, err
     assert out

@@ -12,6 +12,7 @@ from stacksort import (
     SizeLimitError,
     SortVariant,
     catalan,
+    cli,
     count_fast_sortable,
     count_preimages,
     count_slow_sortable,
@@ -319,14 +320,16 @@ def test_length_ten_census():
         "48019293f300ea4b7d93e1f2e0ca2c0170d2e08a8c926cccffb25703492e5448")
 
 
-def test_traced_workloads_read_every_assigned_layer(monkeypatch):
+def test_traced_workloads_read_every_assigned_layer(monkeypatch, tmp_path):
     # The benchmark's traced run fails when a layer it assigns to a workload
     # reads zero; run each workload's calls once under its tracer to see it here.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     run = pytest.importorskip("run", reason="perfbench has no run module")
     tracer = pytest.importorskip("tracer", reason="perfbench has no tracer module")
-    if not all(hasattr(run, name) for name in ("ASSIGNED", "layer_metrics")):
-        pytest.skip("perfbench's run module has no ASSIGNED or layer_metrics")
+    if not all(hasattr(run, name) for name in ("ASSIGNED", "layer_metrics", "workloads")):
+        pytest.skip("perfbench's run module has no ASSIGNED, layer_metrics or workloads")
+    cache_command = run.workloads.cli_argv(
+        run.workloads.load_reference("cli-tour")["cache_command"], str(tmp_path / "memo.json"))
     monkeypatch.setattr(experiments, "_census_cache", {})
     traced = tracer.Tracer()
     traced.install()  # fails if a wrapped library name is gone
@@ -337,10 +340,16 @@ def test_traced_workloads_read_every_assigned_layer(monkeypatch):
         counting.brute_count_avoiders((1, 1, 1, 1), [(2, 3, 1)])
         counting.count_fast_sortable((2, 1, 2))
         counting.count_slow_sortable((2, 1, 2))
+        counting.clear_memo()  # as in a fresh process
+        for argv in (cache_command, cache_command,  # writes the file, then loads it
+                     ["distance", "3662451"], ["gap-census", "--len", "7", "--gap", "1"]):
+            assert cli.main(argv) == 0
     finally:
         traced.uninstall()
     metrics = run.layer_metrics(traced.summary())
-    zero = [name for workload in ("census", "preimages", "avoiders")
-            for name in run.ASSIGNED[workload]
-            if name != "experiments.parallel_efficiency" and not metrics[name]]  # needs two runs
+    # the worker sets the cli layers from process walls, and
+    # parallel_efficiency from two runs
+    unset = {"experiments.parallel_efficiency", "cli.main_s", "cli.process_overhead_s"}
+    zero = [name for workload in ("census", "preimages", "avoiders", "cli-tour")
+            for name in run.ASSIGNED[workload] if name not in unset and not metrics[name]]
     assert zero == []
