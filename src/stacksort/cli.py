@@ -6,24 +6,19 @@ digit strings when all letters fit in one digit, otherwise space or comma
 separated.  Exit codes: 0 success, 1 domain error, 2 size-limit refusal,
 usage error or unreadable or unwritable cache file.
 
-Each command imports the library modules it calls, and no others, so a run
-pays start-up only for the code it uses.
+Each command returns its JSON payload and its plain text, and `main` alone
+prints one of them: the payload indented by 2 for --format json, else the
+text.  Each command imports the library modules it calls, and no others, so
+a run pays start-up only for the code it uses.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import sys
 
 from . import words
-
-
-def _print_json(payload, indent: int | None = None) -> None:
-    import json
-
-    print(json.dumps(payload, indent=indent))
 
 
 def _int_at_least(low: int):
@@ -118,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_sort(args) -> None:
+def _cmd_sort(args):
     from . import sorting
 
     w = words.parse_word(args.word)
@@ -127,31 +122,22 @@ def _cmd_sort(args) -> None:
     walked = [w]
     while len(walked) <= args.steps and walked[-1] != target:
         walked.append(sorting.sort_via_stack(walked[-1], variant))
-    chain = itertools.chain(walked, itertools.repeat(target, args.steps + 1 - len(walked)))
-    if args.format == "json":
-        _print_json({"map": args.map, "chain": [words.format_word(u) for u in chain]})
-    elif args.trace:
-        for step, u in enumerate(chain):
-            prefix = f"  ={args.map}=> " if step else ""
-            print(f"{prefix}{words.format_word(u)}")
-    else:
-        print(words.format_word(walked[-1]))
+    chain = [words.format_word(u) for u in walked]
+    text = f"\n  ={args.map}=> ".join(chain) if args.trace else chain[-1]
+    return {"map": args.map, "chain": chain}, text
 
 
-def _cmd_distance(args) -> None:
+def _cmd_distance(args):
     from . import sorting
 
     w = words.parse_word(args.word)
     fast_d = sorting.distance(w, sorting.SortVariant.FAST)
     slow_d = sorting.distance(w, sorting.SortVariant.SLOW)
-    if args.format == "json":
-        _print_json({"word": words.format_word(w), "fast": fast_d,
-                     "slow": slow_d, "gap": fast_d - slow_d})
-    else:
-        print(f"fast={fast_d} slow={slow_d} gap={fast_d - slow_d}")
+    return ({"word": words.format_word(w), "fast": fast_d, "slow": slow_d, "gap": fast_d - slow_d},
+            f"fast={fast_d} slow={slow_d} gap={fast_d - slow_d}")
 
 
-def _cmd_preimages(args) -> None:
+def _cmd_preimages(args):
     from . import hooks, sorting
 
     w = words.parse_word(args.word)
@@ -163,9 +149,7 @@ def _cmd_preimages(args) -> None:
         else:
             count = hooks.count_preimages_vhc(w, variant, limit=args.limit)
         if args.list_words:
-            preimage_list = sorted(
-                hooks.in_order_preimages(w, variant, limit=args.limit)
-            )
+            preimage_list = sorted(hooks.in_order_preimages(w, variant, limit=args.limit))
     elif args.method == "brute":
         preimage_list = list(hooks.brute_preimages(w, variant, space_limit=args.space_limit))
         count = len(preimage_list)
@@ -174,78 +158,63 @@ def _cmd_preimages(args) -> None:
         count = len(preimage_list)
     payload = {"word": words.format_word(w), "map": args.map,
                "method": args.method, "count": count}
-    if args.list_words and preimage_list is not None:
+    lines = [str(count)]
+    if args.list_words:
         payload["preimages"] = [words.format_word(u) for u in preimage_list]
-    if args.format == "json":
-        _print_json(payload)
-    else:
-        print(count)
-        if args.list_words and preimage_list is not None:
-            for u in preimage_list:
-                print(words.format_word(u))
+        lines += payload["preimages"]
+    return payload, "\n".join(lines)
 
 
-def _cmd_vhc(args) -> None:
+def _cmd_vhc(args):
     from . import hooks
 
     w = words.parse_word(args.word)
     configs = list(hooks.enumerate_vhc(w, hooks.VhcFilter(args.filter), limit=args.limit))
-    rendered = []
+    rendered, lines = [], [f"{len(configs)} configuration(s)"]
     for config in configs:
-        entry = hooks.config_to_dict(w, config)
+        classes = hooks.color_classes(w, config)  # validates the configuration
+        q = [len(ps) for ps in classes]
+        entry = {"hooks": [{"sw": [i, w[i - 1]], "ne": [j, w[j - 1]]} for i, j in config],
+                 "q": q, "catalan": hooks.catalan_product(q)}
+        line = " ".join(f"({i},{w[i - 1]})->({j},{w[j - 1]})" for i, j in config) or "(empty)"
+        line += f"  q={tuple(q)}  catalan={entry['catalan']}"
         if args.show_coloring:
-            entry["colors"] = list(hooks.induced_coloring(w, config))
-            entry["classes"] = hooks.color_classes(w, config)
+            entry["colors"] = [r for _, r in sorted((a, r) for r, ps in enumerate(classes)
+                                                    for a in ps)]
+            entry["classes"] = classes
+            line += f"  colors={tuple(entry['colors'])}"
         rendered.append(entry)
-    if args.format == "json":
-        _print_json({"word": words.format_word(w), "filter": args.filter,
-                     "count": len(configs), "configs": rendered}, indent=2)
-    else:
-        print(f"{len(configs)} configuration(s)")
-        for entry in rendered:
-            hook_text = " ".join(
-                f"({h['sw'][0]},{h['sw'][1]})->({h['ne'][0]},{h['ne'][1]})" for h in entry["hooks"]
-            ) or "(empty)"
-            line = f"{hook_text}  q={tuple(entry['q'])}  catalan={entry['catalan']}"
-            if args.show_coloring:
-                line += f"  colors={tuple(entry['colors'])}"
-            print(line)
+        lines.append(line)
+    return ({"word": words.format_word(w), "filter": args.filter, "count": len(configs),
+             "configs": rendered}, "\n".join(lines))
 
 
-def _cmd_count_sortable(args) -> None:
+def _cmd_count_sortable(args):
     from . import counting
 
     c = tuple(args.content)
     if args.format == "csv":  # the row carries both counts
-        print("content,fast_sortable,slow_sortable")
-        print(f"\"{' '.join(map(str, c))}\",{counting.count_fast_sortable(c)},"
-              f"{counting.count_slow_sortable(c)}")
-        return
+        return None, (f"content,fast_sortable,slow_sortable\n\"{' '.join(map(str, c))}\","
+                      f"{counting.count_fast_sortable(c)},{counting.count_slow_sortable(c)}")
     count = counting.count_fast_sortable if args.map == "fast" else counting.count_slow_sortable
     value = count(c)
-    if args.format == "json":
-        _print_json({"content": list(c), "map": args.map, "count": str(value)})
-    else:
-        print(value)
+    return {"content": list(c), "map": args.map, "count": str(value)}, str(value)
 
 
-def _cmd_uniform(args) -> None:
+def _cmd_uniform(args):
     from . import counting
 
     value = counting.fuss_catalan(args.ell, args.n)
     payload: dict = {"ell": args.ell, "n": args.n, "count": str(value)}
+    text = str(value)
     if args.check:
         direct = counting.brute_count_avoiders(
             (args.ell,) * args.n, [(2, 3, 1), (2, 2, 1)], space_limit=args.space_limit
         )
         payload["direct_enumeration"] = str(direct)
         payload["match"] = direct == value
-    if args.format == "json":
-        _print_json(payload)
-    else:
-        print(value)
-        if args.check:
-            print(f"direct={payload['direct_enumeration']} match={payload['match']}")
+        text += f"\ndirect={direct} match={direct == value}"
+    return payload, text
 
 
 def _parse_rule(args):
@@ -267,19 +236,15 @@ def _parse_rule(args):
     return counting.GenTreeSpec(args.axiom, table)
 
 
-def _cmd_gentree(args) -> None:
+def _cmd_gentree(args):
     from . import counting
 
     spec = _parse_rule(args)
-    sizes = counting.generating_tree_level_counts(spec, args.depth)
-    if args.format == "json":
-        _print_json({"axiom": spec.axiom, "depth": args.depth,
-                     "level_counts": [str(s) for s in sizes]})
-    else:
-        print(" ".join(str(s) for s in sizes))
+    sizes = [str(s) for s in counting.generating_tree_level_counts(spec, args.depth)]
+    return {"axiom": spec.axiom, "depth": args.depth, "level_counts": sizes}, " ".join(sizes)
 
 
-def _cmd_exceptional(args) -> None:
+def _cmd_exceptional(args):
     from . import experiments
 
     experiments.check_scan_length(args.max_len)
@@ -287,62 +252,54 @@ def _cmd_exceptional(args) -> None:
         experiments.find_exceptional(m, parallelism=args.parallel)
         for m in range(1, args.max_len + 1)
     ]
-    if args.format == "json":
-        print("[" + ",\n".join(experiments.report_json(r) for r in reports) + "]")
-        return
+    lines = []
     for report in reports:
-        line = (f"m={report['parameters']['length']} normalized={report['normalized_words']} "
-                f"exceptional={report['exceptional_count']} ratio={report['ratio']}")
-        print(line)
+        lines.append(f"m={report['parameters']['length']} "
+                     f"normalized={report['normalized_words']} "
+                     f"exceptional={report['exceptional_count']} ratio={report['ratio']}")
         if args.list_words and report["exceptional_count"]:
-            for witness in report["witnesses"]:
-                print(f"  {witness}")
+            lines += [f"  {witness}" for witness in report["witnesses"]]
             if report["truncated"]:
-                print("  ... (truncated)")
+                lines.append("  ... (truncated)")
+    return reports, "\n".join(lines)
 
 
-def _cmd_gap_census(args) -> None:
+def _cmd_gap_census(args):
     from . import experiments
 
     report = experiments.gap_census(args.length, args.gap, parallelism=args.parallel)
-    if args.format == "json":
-        print(experiments.report_json(report))
-    else:
-        print(report["count"])
+    return report, str(report["count"])
 
 
-def _cmd_conjectures(args) -> None:
+def _cmd_conjectures(args):
     from . import experiments
 
     report = experiments.scan_conjectures(args.max_len, parallelism=args.parallel)
-    if args.format == "json":
-        print(experiments.report_json(report))
-        return
+    lines = []
     for key in ("gap_length_bound", "double_slow_bound"):
         block = report[key]
         status = "no counterexample"
         if block["violations"]:
             status = (f"{block['violations']} violation(s) of \"{block['statement']}\", "
                       f"first {block['counterexample']}")
-        print(f"{key}: {status} (checked {report['exceptional_checked']} exceptional words)")
-    for entry in report["ratios"]:
-        print(f"m={entry['length']} ratio={entry['ratio']}")
-    print(f"ratios nondecreasing: {report['ratios_nondecreasing']}")
+        lines.append(f"{key}: {status} "
+                     f"(checked {report['exceptional_checked']} exceptional words)")
+    lines += [f"m={entry['length']} ratio={entry['ratio']}" for entry in report["ratios"]]
+    lines.append(f"ratios nondecreasing: {report['ratios_nondecreasing']}")
+    return report, "\n".join(lines)
 
 
-def _cmd_fertility_demo(args) -> None:
+def _cmd_fertility_demo(args):
     from . import experiments
 
     report = experiments.fertility_demo(args.m)
-    if args.format == "json":
-        print(experiments.report_json(report))
-        return
+    lines = []
     for entry in report["words"]:
-        print(f"word {entry['word']} expected {entry['expected']}")
+        lines.append(f"word {entry['word']} expected {entry['expected']}")
         for variant in ("fast", "slow"):
-            counts = entry[variant]
-            parts = [f"{k}={v}" for k, v in counts.items() if v is not None]
-            print(f"  {variant}: " + " ".join(parts))
+            parts = [f"{k}={v}" for k, v in entry[variant].items() if v is not None]
+            lines.append(f"  {variant}: " + " ".join(parts))
+    return report, "\n".join(lines)
 
 
 _HANDLERS = {
@@ -375,13 +332,19 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"error: cannot load cache file {args.cache}: {exc}", file=sys.stderr)
                 return 2
     try:
-        _HANDLERS[args.command](args)
+        payload, text = _HANDLERS[args.command](args)
     except words.SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except words.DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.format == "json":
+        import json
+
+        print(json.dumps(payload, indent=2))
+    elif text:  # an empty scan prints nothing
+        print(text)
     if args.cache:
         try:
             counting.save_memo(args.cache)

@@ -272,16 +272,6 @@ def induced_composition(w: Word, config: HookConfig) -> Composition:
     return tuple(len(ps) for ps in color_classes(w, config))
 
 
-def config_to_dict(w: Word, config: HookConfig) -> dict:
-    """JSON-ready rendering: hooks with endpoints, the composition, its weight."""
-    q = induced_composition(w, config)
-    return {
-        "hooks": [{"sw": [i, w[i - 1]], "ne": [j, w[j - 1]]} for i, j in config],
-        "q": list(q),
-        "catalan": catalan_product(q),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Counting and reconstructing preimages
 

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import stacksort
-from stacksort import catalan, counting, experiments, parse_word, sort_via_stack, sorting
+from stacksort import (catalan, counting, experiments, hooks, parse_word, sort_via_stack,
+                       sorting)
 from stacksort.cli import main
 
 
@@ -49,11 +50,14 @@ def test_sort_stops_at_the_identity(capsys, monkeypatch):
     walked.clear()
     code, out, _ = run(capsys, "--format", "json", "sort", "3662451", "--map", "slow",
                        "--steps", "6")
-    chain = json.loads(out)["chain"]
-    assert code == 0 and chain[:3] == ["3662451", "3624156", "3214566"]
-    assert chain[3:] == ["1234566"] * 4
+    chain = json.loads(out)["chain"]  # the chain ends at the identity, whatever --steps asks
+    assert code == 0 and chain == ["3662451", "3624156", "3214566", "1234566"]
+    walked.clear()
+    code, out, _ = run(capsys, "--format", "json", "sort", "21", "--map", "fast",
+                       "--steps", str(10**12))
+    assert code == 0 and json.loads(out)["chain"] == ["21", "12"] and len(walked) == 1
     code, out, _ = run(capsys, "sort", "1123", "--map", "slow", "--steps", "2", "--trace")
-    assert code == 0 and out == "1123\n  =slow=> 1123\n  =slow=> 1123\n"
+    assert code == 0 and out == "1123\n"
 
 
 def test_sort_spaced_word_with_large_letters(capsys):
@@ -135,11 +139,28 @@ def test_vhc_listing(capsys):
     assert sorted(c["catalan"] for c in payload["configs"]) == [1, 2, 2, 2]
 
 
-def test_vhc_show_coloring(capsys):
+def test_vhc_show_coloring(capsys, monkeypatch):
     code, out, _ = run(capsys, "--format", "json", "vhc", "212", "--show-coloring")
     payload = json.loads(out)
-    assert payload["count"] == 1
-    assert payload["configs"][0]["colors"] == [0, 1, 2]
+    assert code == 0 and payload["count"] == 1
+    assert payload["configs"] == [{
+        "hooks": [{"sw": [1, 2], "ne": [3, 2]}, {"sw": [2, 1], "ne": [3, 2]}],
+        "q": [1, 1, 1], "catalan": 1, "colors": [0, 1, 2], "classes": [[1], [2], [3]],
+    }]
+    # each configuration is validated once, for the color classes all its fields come from
+    checked, is_valid_config = [], hooks.is_valid_config
+
+    def counted(w, config, which=hooks.VhcFilter.ALL):
+        checked.append(config)
+        return is_valid_config(w, config, which)
+
+    monkeypatch.setattr(hooks, "is_valid_config", counted)
+    code, out, _ = run(capsys, "--format", "json", "vhc", "3211456", "--show-coloring")
+    configs = json.loads(out)["configs"]
+    assert code == 0 and len(configs) == len(checked) == 30
+    monkeypatch.undo()
+    assert [c["colors"] for c in configs] == [
+        list(hooks.induced_coloring((3, 2, 1, 1, 4, 5, 6), config)) for config in checked]
 
 
 def test_count_sortable(capsys):
@@ -374,6 +395,28 @@ def test_readme_tour_command_succeeds(line, capsys):
     code, out, err = run(capsys, *shlex.split(line)[1:])
     assert code == 0, err
     assert out
+
+
+@pytest.mark.parametrize("line", readme_tour())
+def test_readme_tour_command_prints_json(line, capsys):
+    code, out, err = run(capsys, "--format", "json", *shlex.split(line)[1:])
+    assert code == 0, err
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_cli_tour_prints_the_benchmark_goldens(monkeypatch, tmp_path, capsys):
+    # the benchmark checks each tour command's stdout against its golden, byte
+    # for byte; the cache command runs cold, then warm, as in fresh processes
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = pytest.importorskip("workloads", reason="perfbench has no workloads module")
+    tour = workloads.load_reference("cli-tour")
+    cache_argv = workloads.cli_argv(tour["cache_command"], str(tmp_path / "memo.json"))
+    commands = [(c["args"], c["golden"]) for c in tour["commands"]]
+    commands += [(cache_argv, tour["cache_golden"])] * 2
+    for argv, golden in commands:
+        counting.clear_memo()
+        assert run(capsys, *argv)[:2] == (0, golden), argv
+    assert (tmp_path / "memo.json").exists()
 
 
 def test_readme_python_tour_runs_as_doctest():

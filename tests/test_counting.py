@@ -190,15 +190,17 @@ def test_t_sortable_counts():
 def test_memo_persistence_roundtrip(tmp_path):
     counting.clear_memo()
     fresh = count_slow_sortable((3, 2, 4, 1))
+    count_fast_sortable((2, 2, 2))
     path = tmp_path / "memo.json"
     counting.save_memo(str(path))
     counting.clear_memo()
     assert count_slow_sortable((3, 2, 4, 1)) == fresh  # identical without the cache
+    fresh_fast = count_fast_sortable((2, 2, 2))
     counting.clear_memo()
     counting.load_memo(str(path))
     assert counting._slow_memo[(3, 2, 4)] == fresh  # loaded: a warm start (key drops the last entry)
+    assert counting._fast_memo[(2, 2, 2)] == fresh_fast == 43
     assert count_slow_sortable((3, 2, 4, 1)) == fresh
-    assert count_fast_sortable((2, 2, 2)) == count_fast_sortable((2, 2, 2))
 
 
 @pytest.mark.parametrize("key, content", [("fast", (2, 1, 2)), ("slow", (3, 2, 4, 1))])

@@ -29,7 +29,7 @@ from stacksort import (
     postorder,
     sort_via_stack,
 )
-from stacksort.hooks import _shape_parents, config_to_dict, filter_for
+from stacksort.hooks import _shape_parents, filter_for
 
 FAST, SLOW = SortVariant.FAST, SortVariant.SLOW
 
@@ -322,17 +322,6 @@ def test_shape_parent_tables_follow_shapes():
 def test_enumerate_vhc_limit():
     with pytest.raises(SizeLimitError):
         list(enumerate_vhc(tuple(range(1, 14)), VhcFilter.ALL))
-
-
-def test_config_to_dict():
-    w = (2, 1, 2)
-    config = ((1, 3), (2, 3))
-    entry = config_to_dict(w, config)
-    assert entry == {
-        "hooks": [{"sw": [1, 2], "ne": [3, 2]}, {"sw": [2, 1], "ne": [3, 2]}],
-        "q": [1, 1, 1],
-        "catalan": 1,
-    }
 
 
 def test_listing_preimages_leaves_no_reference_cycles():
