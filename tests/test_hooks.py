@@ -1,4 +1,5 @@
 import gc
+import json
 from itertools import product
 
 import pytest
@@ -29,6 +30,7 @@ from stacksort import (
     postorder,
     sort_via_stack,
 )
+from stacksort.cli import main
 from stacksort.hooks import _shape_parents, filter_for
 
 FAST, SLOW = SortVariant.FAST, SortVariant.SLOW
@@ -322,6 +324,20 @@ def test_shape_parent_tables_follow_shapes():
 def test_enumerate_vhc_limit():
     with pytest.raises(SizeLimitError):
         list(enumerate_vhc(tuple(range(1, 14)), VhcFilter.ALL))
+
+
+def test_config_to_dict(capsys):
+    # the JSON rendering of a configuration lives in the vhc command
+    w = (2, 1, 2)
+    config = ((1, 3), (2, 3))
+    assert list(enumerate_vhc(w, VhcFilter.ALL)) == [config]
+    assert induced_composition(w, config) == (1, 1, 1)
+    assert main(["--format", "json", "vhc", "212"]) == 0
+    assert json.loads(capsys.readouterr().out)["configs"] == [{
+        "hooks": [{"sw": [1, 2], "ne": [3, 2]}, {"sw": [2, 1], "ne": [3, 2]}],
+        "q": [1, 1, 1],
+        "catalan": 1,
+    }]
 
 
 def test_listing_preimages_leaves_no_reference_cycles():
