@@ -300,45 +300,28 @@ def scan_conjectures(max_m: int, parallelism: int = 1) -> dict:
 
     check_scan_length(max_m)
     start = time.perf_counter()
-    gap_bound_violations: list[Word] = []
-    double_bound_violations: list[Word] = []
-    ratios = []
-    checked = 0
-    fractions = []
-    for m in range(1, max_m + 1):
-        census = distance_census(m, parallelism)
-        for w, df, ds in census.exceptional:
-            checked += 1
-            if 2 * (df - ds) > m - 5:
-                gap_bound_violations.append(w)
-            if df > 2 * ds - 2:
-                double_bound_violations.append(w)
-        fractions.append(Fraction(len(census.exceptional), census.total))
-        ratios.append(
-            {
-                "length": m,
-                "exceptional": len(census.exceptional),
-                "normalized": census.total,
-                "ratio": ratio_text(len(census.exceptional), census.total),
-            }
-        )
-    gap_bound_violations.sort()
-    double_bound_violations.sort()
+    censuses = [distance_census(m, parallelism) for m in range(1, max_m + 1)]
+    rows = [(w, c.length, df, ds) for c in censuses for w, df, ds in c.exceptional]
+
+    def bound(statement: str, breaks) -> dict:
+        violators = [w for w, m, df, ds in rows if breaks(m, df, ds)]
+        example = format_word(min(violators)) if violators else None
+        return {"statement": statement, "counterexample": example, "violations": len(violators)}
+
+    fractions = [Fraction(len(c.exceptional), c.total) for c in censuses]
     return {
         "experiment": "conjecture-scan",
         "parameters": {"max_length": max_m},
-        "exceptional_checked": checked,
-        "gap_length_bound": {
-            "statement": "2 * (fast - slow) <= length - 5 for words with fast > slow",
-            "counterexample": format_word(gap_bound_violations[0]) if gap_bound_violations else None,
-            "violations": len(gap_bound_violations),
-        },
-        "double_slow_bound": {
-            "statement": "fast <= 2 * slow - 2 for words with fast > slow",
-            "counterexample": format_word(double_bound_violations[0]) if double_bound_violations else None,
-            "violations": len(double_bound_violations),
-        },
-        "ratios": ratios,
+        "exceptional_checked": len(rows),
+        "gap_length_bound": bound("2 * (fast - slow) <= length - 5 for words with fast > slow",
+                                  lambda m, df, ds: 2 * (df - ds) > m - 5),
+        "double_slow_bound": bound("fast <= 2 * slow - 2 for words with fast > slow",
+                                   lambda m, df, ds: df > 2 * ds - 2),
+        "ratios": [
+            {"length": c.length, "exceptional": len(c.exceptional), "normalized": c.total,
+             "ratio": ratio_text(len(c.exceptional), c.total)}
+            for c in censuses
+        ],
         "ratios_nondecreasing": all(a <= b for a, b in zip(fractions, fractions[1:])),
         "elapsed_seconds": time.perf_counter() - start,
     }

@@ -33,10 +33,12 @@ length cap.  The configuration sum stays as `count_preimages_vhc`, the theorem
 the acceptance gate checks the DP against; listing (`in_order_preimages`)
 still runs through the configurations and `build_preimage_trees`.
 
-Enumeration is depth-first over the indices, deciding at each index whether
-it starts a hook and where the hook ends, pruning on interval crossings,
-points that would be passed strictly below, and condition-3 obligations that
-can no longer be met.
+Enumeration is depth-first over the indices: each index i starts no hook or
+one hook (i, j).  Its only state is the hooks: `into[j]` lists the southwest
+endpoints of the hooks placed into j, which gives j's hook count and whether
+j has a descent hook and a small one.  It prunes hooks that pass strictly
+below a point, cross a placed hook, break the filter or leave condition 3
+unmeetable at j, and branches that broke it at a finished endpoint.
 """
 
 from __future__ import annotations
@@ -109,72 +111,47 @@ def _enumerate_pairs(w: Word, which: VhcFilter) -> list[HookConfig]:
     m = len(w)
     descents = {d for d in range(1, m) if w[d - 1] >= w[d]}
     bounded = which is not VhcFilter.ALL
-
     results: list[HookConfig] = []
     hooks: list[Hook] = []
-    # ne endpoint j -> [hook count, has descent hook, has small hook, blocked]
-    ne_state: dict[int, list] = {}
+    into: list[list[int]] = [[] for _ in range(m + 1)]  # j -> sw ends of the hooks into j
 
-    def candidates(i: int) -> list[int]:
-        out = []
-        hi = w[i - 1]
-        for j in range(i + 1, m + 1):
-            hj = w[j - 1]
-            if hj < hi:
-                continue
-            # A hook may not pass strictly below a point at i < a < j.
-            if any(x > hj for x in w[i:j - 1]):
-                continue
-            # Condition 4: no crossing with an already placed hook.
-            if any(i < jj < j for _, jj in hooks):
-                continue
-            st = ne_state.get(j)
-            count = st[0] if st else 0
-            if bounded and count >= 2:
-                continue
-            horizontal = hi == hj
-            small = j == i + 1
-            if which is VhcFilter.R and horizontal and not small:
-                continue
-            if which is VhcFilter.L:
-                if st and st[3]:
-                    continue  # a small horizontal hook already owns this endpoint
-                if small and horizontal and count:
-                    continue
-            # Condition 3 must stay satisfiable for j.
-            if not ((st and st[1]) or i in descents):
-                if not any(d in descents and w[d - 1] <= hj for d in range(i + 1, j)):
-                    continue
-            if not ((st and st[2]) or small):
-                if w[j - 2] > hj:
-                    continue  # the only possible small hook (j-1, j) is illegal
-            out.append(j)
-        return out
+    def allowed(i: int, j: int) -> bool:
+        hi, hj, sws = w[i - 1], w[j - 1], into[j]
+        if hj < hi or any(x > hj for x in w[i:j - 1]):
+            return False  # a hook may not pass strictly below a point at i < a < j
+        if any(into[a] for a in range(i + 1, j)):
+            return False  # condition 4: a placed hook ends strictly inside (i, j)
+        horizontal, small = hi == hj, j == i + 1
+        if bounded and len(sws) >= 2:
+            return False
+        if which is VhcFilter.R and horizontal and not small:
+            return False
+        # Southwest ends are placed in increasing order, so a small hook (j-1, j)
+        # comes last into j: it checks that j is free, and no later hook checks it.
+        if which is VhcFilter.L and horizontal and small and sws:
+            return False
+        # Condition 3 must stay satisfiable: a descent hook into j, and (j-1, j).
+        if i not in descents and not any(s in descents for s in sws):
+            if not any(d in descents and w[d - 1] <= hj for d in range(i + 1, j)):
+                return False
+        return small or w[j - 2] <= hj
 
     def visit(i: int) -> None:
         if i > m:
             results.append(tuple(hooks))
             return
-        st = ne_state.get(i)
-        if st and st[0] and not (st[1] and st[2]):
+        sws = into[i]
+        if sws and not (i - 1 in sws and any(s in descents for s in sws)):
             return  # condition 3 failed at a finished northeast endpoint
-        if i == m:
-            visit(m + 1)
-            return
         if i not in descents:
             visit(i + 1)
-        for j in candidates(i):
-            st = ne_state.setdefault(j, [0, False, False, False])
-            saved = st.copy()
-            st[0] += 1
-            st[1] = st[1] or i in descents
-            small = j == i + 1
-            st[2] = st[2] or small
-            st[3] = st[3] or (small and w[i - 1] == w[j - 1])
-            hooks.append((i, j))
-            visit(i + 1)
-            hooks.pop()
-            ne_state[j] = saved
+        for j in range(i + 1, m + 1):
+            if allowed(i, j):
+                hooks.append((i, j))
+                into[j].append(i)
+                visit(i + 1)
+                into[j].pop()
+                hooks.pop()
 
     visit(1)
     del visit  # the closure refers to itself; dropping it frees the state without gc

@@ -167,7 +167,7 @@ def test_fertility_witness_configurations():
 
 def test_enumeration_matches_subset_oracle(normalized):
     # independent oracle: filter all hook sets through the validity predicate
-    for m in range(0, 5):
+    for m in range(0, 6):
         for w in normalized(m):
             options = []
             for i in range(1, len(w)):
