@@ -71,13 +71,10 @@ _EXPORTS = {
     ),
     "trees": (
         "PlaneTree",
-        "TreeClass",
         "in_class",
         "in_order",
         "postorder",
         "sort_via_trees",
-        "tree_class_for",
-        "tree_to_text",
         "word_to_tree",
     ),
     "words": (

@@ -47,11 +47,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--parallel", type=_int_at_least(1), default=1, metavar="N",
                         help="worker processes for the search experiments (default 1, "
                         "at most the number of CPUs)")
-    parser.add_argument("--limit", type=int, default=words.MAX_VHC_LEN, metavar="LEN",
+    parser.add_argument("--limit", type=_int_at_least(0), default=words.MAX_VHC_LEN, metavar="LEN",
                         help="maximum word length for configuration enumeration and "
                         "preimage listing (the dp count has no cap)")
-    parser.add_argument("--space-limit", type=int, default=words.MAX_SPACE, metavar="SIZE",
-                        help="maximum content-class size for brute-force passes")
+    parser.add_argument("--space-limit", type=_int_at_least(0), default=words.MAX_SPACE,
+                        metavar="SIZE", help="maximum content-class size for brute-force passes")
     parser.add_argument("--cache", metavar="PATH",
                         help="memo cache file, one entry per memo key; purely a warm start")
     sub = parser.add_subparsers(dest="command", required=True)

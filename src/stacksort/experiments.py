@@ -131,7 +131,7 @@ def _strip_zeros(c: ContentVector) -> ContentVector:
     return c[:end]
 
 
-def _census_content(c: tuple[int, ...]) -> tuple[dict[int, int], list, int]:
+def _census_content(c: tuple[int, ...]) -> tuple[dict[int, int], list]:
     """Scan one content class through its (fast image, slow image) pair counts.
 
     A word's distance is one more than its image's (the identity's is 0, but
@@ -157,7 +157,7 @@ def _census_content(c: tuple[int, ...]) -> tuple[dict[int, int], list, int]:
                    for w in _words_with_pair(c, f, s, memo, listed))
     if len(words) != sum(pairs[pair] for pair in wanted):
         raise InvariantError(f"the exceptional pairs of W_{c} expand to {len(words)} words")
-    return hist, words, sum(hist.values())
+    return hist, words
 
 
 def _image_distances(images: list[Word], variant: SortVariant) -> dict[Word, int]:
@@ -225,23 +225,21 @@ def distance_census(m: int, parallelism: int = 1) -> CensusResult:
         parts = [_census_content(c) for c in contents]
     hist: dict[int, int] = {}
     exceptional: list[tuple[Word, int, int]] = []
-    total = 0
-    for part_hist, part_exc, part_total in parts:
+    for part_hist, part_exc in parts:
         for gap, count in part_hist.items():
             hist[gap] = hist.get(gap, 0) + count
         exceptional.extend(part_exc)
-        total += part_total
-    result = CensusResult(m, total, dict(sorted(hist.items())), exceptional)
+    result = CensusResult(m, sum(hist.values()), dict(sorted(hist.items())), exceptional)
     _census_cache[m] = result
     return result
 
 
-def ratio_text(num: int, den: int, places: int = 6) -> str:
-    """Decimal rendering of num/den to `places` places, exact until rounding."""
+def ratio_text(num: int, den: int) -> str:
+    """Decimal rendering of num/den to 6 places, exact until rounding."""
     from fractions import Fraction
 
-    scaled = round(Fraction(num, den) * 10**places)
-    return f"{scaled // 10**places}.{scaled % 10**places:0{places}d}"
+    scaled = round(Fraction(num, den) * 10**6)
+    return f"{scaled // 10**6}.{scaled % 10**6:06d}"
 
 
 def _witnesses(words: list[Word]) -> tuple[list[str], bool]:

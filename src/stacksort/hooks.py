@@ -109,7 +109,7 @@ def catalan_product(q: Composition) -> int:
 def _enumerate_pairs(w: Word, which: VhcFilter) -> list[HookConfig]:
     """All configurations, in DFS order."""
     m = len(w)
-    descents = {d for d in range(1, m) if w[d - 1] >= w[d]}
+    descents = {d for d, _ in descent_tops(w)}
     bounded = which is not VhcFilter.ALL
     results: list[HookConfig] = []
     hooks: list[Hook] = []
@@ -179,7 +179,7 @@ def is_valid_config(w: Word, config: HookConfig, which: VhcFilter = VhcFilter.AL
         return False
     if any(a[0] >= b[0] for a, b in zip(config, config[1:])):
         return False
-    descents = {d for d in range(1, m) if w[d - 1] >= w[d]}
+    descents = {d for d, _ in descent_tops(w)}
     if not descents <= {i for i, _ in config}:
         return False
     for i, j in config:
@@ -374,68 +374,52 @@ def build_preimage_trees(
 ) -> Iterator[PlaneTree | None]:
     """Reconstruct the preimage trees spawned by one hook configuration.
 
-    Grows the tree from the last letter backwards, attaching each leaf either
-    along its hook (southwest endpoints; the right slot fills first) or under
-    the vertex dictated by the spawned tree of the next point's color class,
-    on the same side the class tree uses.  For the slow operator, equal-label
-    right children are finally swung to the left.  Emitted trees have
-    postorder w; their in-order readings, over all configurations of the
-    matching family, are exactly the preimages of w, each exactly once.
+    Nodes are the positions of w, in postorder, so j's right child is j - 1:
+    each hook (i, j) hangs i in j's right slot when i = j - 1 (the right slot
+    fills first) and in its left slot otherwise.  Every other point p - 1
+    hangs where the spawned tree of p's color class hangs p's class
+    predecessor, on the same side; a northeast endpoint is alone in its class,
+    so no class link targets it.  For the slow operator, equal-label right
+    children are finally swung to the left.  Emitted trees have postorder w;
+    their in-order readings, over all configurations of the matching family,
+    are exactly the preimages of w, each exactly once.
     """
     which = filter_for(variant)
     if not is_valid_config(w, config, which):
         raise DomainError(f"configuration not in the {which.value} family of {w}")
     m = len(w)
-    if m == 0:
-        yield None
-        return
-
     classes = _class_positions(w, config)
     for positions in classes:  # heights strictly increase in each class (a theorem)
         heights = [w[p - 1] for p in positions]
         if any(a >= b for a, b in zip(heights, heights[1:])):
             raise InvariantError(f"class heights not increasing: {heights}")
-    sw_to_ne = dict(config)
-    place: dict[int, tuple[int, int]] = {}  # position -> (class, index in class)
-    for r, positions in enumerate(classes):
-        for t, p in enumerate(positions):
-            place[p] = (r, t)
-    # Where each point p = m-1, ..., 1 hangs: a southwest endpoint under its
-    # hook's northeast endpoint (r = -1); any other point wherever the tree of
-    # class r hangs the class predecessor (index t) of the next point p + 1.
-    steps = []
-    for pos in range(m - 1, 0, -1):
-        if pos in sw_to_ne:
-            steps.append((pos, -1, sw_to_ne[pos]))
-            continue
-        r, t = place[pos + 1]
-        if t == 0:
-            raise InvariantError(f"no earlier point shares color with {pos + 1}")
-        steps.append((pos, r, t - 1))
+    # hooked[side][j]: the southwest endpoint hung on j's left (0) or right (1) slot
+    hooked = ([0] * (m + 1), [0] * (m + 1))
+    for i, j in config:
+        side = int(i == j - 1)
+        if hooked[side][j]:
+            raise InvariantError(f"hook slot of {j} already taken")
+        hooked[side][j] = i
+    # Point p - 1, when it starts no hook, hangs where the tree of class r hangs
+    # the class predecessor (index t - 1) of p.
+    sw_ends = {i for i, _ in config}
+    steps = [(p - 1, r, t - 1) for r, positions in enumerate(classes)
+             for t, p in enumerate(positions) if t and p - 1 not in sw_ends]
+    if len(steps) + len(sw_ends) < m - 1:
+        raise InvariantError("a point starting no hook precedes a color class's first point")
 
     for rows in product(*(_shape_parents(len(positions)) for positions in classes)):
         # kids[side][p]: position of p's left (0) or right (1) child, 0 for none
-        kids = ([0] * (m + 1), [0] * (m + 1))
+        kids = (hooked[0].copy(), hooked[1].copy())
         left, right = kids
-        for pos, r, arg in steps:
-            if r < 0:
-                target = arg
-                # Hook attachments fill the right slot first.
-                if right[target]:
-                    side = 0
-                elif left[target]:
-                    raise InvariantError("hook target has a dangling left child")
-                else:
-                    side = 1
-            else:
-                code = rows[r][arg]
-                if code < 0:
-                    raise InvariantError(
-                        f"class-{r} tree gives {w[classes[r][arg] - 1]} no parent")
-                parent, side = divmod(code, 2)
-                target = classes[r][parent]
-                if target <= pos:
-                    raise InvariantError("attachment target should not be placed yet")
+        for pos, r, t in steps:
+            code = rows[r][t]
+            if code < 0:
+                raise InvariantError(f"class-{r} tree gives {w[classes[r][t] - 1]} no parent")
+            parent, side = divmod(code, 2)
+            target = classes[r][parent]
+            if target <= pos:
+                raise InvariantError("attachment target should not be placed yet")
             if kids[side][target]:
                 raise InvariantError(f"{('left', 'right')[side]} slot already taken")
             kids[side][target] = pos

@@ -2,18 +2,18 @@
 
 A tree is either empty (None) or a labeled root with ordered left/right
 subtrees, every child label at most its parent's.  Two subfamilies matter:
-class L forbids a right child from equaling its parent's label (equal labels
-hang left), class R forbids an equal left child (equal labels hang right).
-The in-order reading is a bijection from each class onto all words; its
-inverses differ only in which occurrence of the maximum letter becomes the
-root (first for class R, last for class L).  Reading the same trees in
-postorder performs one pass of the corresponding stack-sorting operator.
+class R, the fast operator's, forbids an equal left child (equal labels hang
+right); class L, the slow operator's, forbids a right child from equaling its
+parent's label (equal labels hang left).  Functions here name the class by
+its operator.  The in-order reading is a bijection from each class onto all
+words; its inverses differ only in which occurrence of the maximum letter
+becomes the root (first for class R, last for class L).  Reading the same
+trees in postorder performs one pass of that operator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .sorting import SortVariant
 from .words import Word
@@ -26,18 +26,6 @@ class PlaneTree:
     label: int
     left: PlaneTree | None = None
     right: PlaneTree | None = None
-
-
-class TreeClass(Enum):
-    """Where equal labels may hang: left children only (L) or right children only (R)."""
-
-    L = "L"
-    R = "R"
-
-
-def tree_class_for(variant: SortVariant) -> TreeClass:
-    """Tree class whose postorder reading realizes the given operator."""
-    return TreeClass.R if variant is SortVariant.FAST else TreeClass.L
 
 
 def in_order(t: PlaneTree | None) -> Word:
@@ -77,8 +65,8 @@ def postorder(t: PlaneTree | None) -> Word:
     return tuple(out)
 
 
-def word_to_tree(w: Word, cls: TreeClass) -> PlaneTree | None:
-    """The unique tree in the given class whose in-order reading is w.
+def word_to_tree(w: Word, variant: SortVariant) -> PlaneTree | None:
+    """The unique tree in the operator's class whose in-order reading is w.
 
     Splits w = A n B at an occurrence of the largest letter n: the first
     occurrence for class R (so A is n-free), the last for class L (so B is
@@ -100,7 +88,7 @@ def word_to_tree(w: Word, cls: TreeClass) -> PlaneTree | None:
             continue
         segment = w[lo:hi]
         n = max(segment)
-        if cls is TreeClass.R:
+        if variant is SortVariant.FAST:
             root = lo + segment.index(n)
         else:
             root = hi - 1 - segment[::-1].index(n)
@@ -108,8 +96,9 @@ def word_to_tree(w: Word, cls: TreeClass) -> PlaneTree | None:
     return built.pop()
 
 
-def in_class(t: PlaneTree | None, cls: TreeClass) -> bool:
+def in_class(t: PlaneTree | None, variant: SortVariant) -> bool:
     """Structural check: weakly decreasing, with equal labels on the allowed side."""
+    fast = variant is SortVariant.FAST
     todo = [t]
     while todo:
         node = todo.pop()
@@ -118,9 +107,8 @@ def in_class(t: PlaneTree | None, cls: TreeClass) -> bool:
         for child in (node.left, node.right):
             if child is not None and child.label > node.label:
                 return False
-        if cls is TreeClass.R and node.left is not None and node.left.label == node.label:
-            return False
-        if cls is TreeClass.L and node.right is not None and node.right.label == node.label:
+        barred = node.left if fast else node.right  # the side equal labels may not take
+        if barred is not None and barred.label == node.label:
             return False
         todo += [node.left, node.right]
     return True
@@ -128,19 +116,5 @@ def in_class(t: PlaneTree | None, cls: TreeClass) -> bool:
 
 def sort_via_trees(w: Word, variant: SortVariant) -> Word:
     """One sorting pass computed as postorder of the in-order-inverse tree."""
-    return postorder(word_to_tree(w, tree_class_for(variant)))
+    return postorder(word_to_tree(w, variant))
 
-
-def tree_to_text(t: PlaneTree | None) -> str:
-    """Serialize as nested "(label left right)" with "." for the empty tree."""
-    parts: list[str] = []
-    todo: list[PlaneTree | str | None] = [t]
-    while todo:
-        item = todo.pop()
-        if isinstance(item, str):
-            parts.append(item)
-        elif item is None:
-            parts.append(".")
-        else:
-            todo += [")", item.right, " ", item.left, f"({item.label} "]
-    return "".join(parts)

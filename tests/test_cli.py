@@ -1,3 +1,4 @@
+import ast
 import doctest
 import json
 import os
@@ -71,6 +72,19 @@ def test_sort_negative_steps_is_usage_error(capsys):
         main(["sort", "21", "--map", "fast", "--steps", "-3"])
     assert exc.value.code == 2
     assert "--steps" in capsys.readouterr().err
+
+
+def test_negative_limits_are_usage_errors(capsys):
+    for flag in ("--limit", "--space-limit"):
+        with pytest.raises(SystemExit) as exc:
+            main([flag, "-5", "vhc", "212"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be >= 0, got -5" in capsys.readouterr().err
+    # zero stays a valid bound: it refuses every nonempty word, not the option
+    code, _, err = run(capsys, "--limit", "0", "vhc", "212")
+    assert code == 2 and "word length 3 exceeds limit 0" in err
+    code, out, _ = run(capsys, "--limit", "0", "vhc", "")
+    assert code == 0 and out.startswith("1 configuration(s)")
 
 
 def test_parallel_clamped_to_cpu_count(monkeypatch, capsys, fake_pools):
@@ -445,6 +459,15 @@ def modules_loaded_by(code: str) -> set[str]:
     return loaded(probe) - loaded("import sys\nprint(' '.join(sys.modules))")
 
 
+def test_library_has_no_assert_statements():
+    # `python -O` strips asserts; the library's invariants raise InvariantError instead
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((SRC / "stacksort").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
 def test_import_loads_no_submodule():
     assert {m for m in modules_loaded_by("import stacksort") if m.startswith("stacksort.")} == set()
 
@@ -475,8 +498,8 @@ PUBLIC_API = {
                 "exceptional_family", "fertility_witness", "sort_fast", "sort_permutation",
                 "sort_slow", "sort_via_stack", "standardize_ascending", "standardize_descending",
                 "worst_case_word"],
-    "trees": ["PlaneTree", "TreeClass", "in_class", "in_order", "postorder", "sort_via_trees",
-              "tree_class_for", "tree_to_text", "word_to_tree"],
+    "trees": ["PlaneTree", "in_class", "in_order", "postorder", "sort_via_trees",
+              "word_to_tree"],
     "words": ["ContentVector", "DomainError", "InvariantError", "Pattern", "SizeLimitError",
               "Word", "contains_pattern", "content", "enumerate_normalized", "enumerate_words",
               "format_word", "identity", "is_normalized", "normalized_count", "parse_word",
@@ -486,7 +509,7 @@ PUBLIC_API = {
 
 def test_public_api_resolves_to_the_defining_modules(monkeypatch):
     names = sorted([*PUBLIC_API, *(n for ns in PUBLIC_API.values() for n in ns)])
-    assert len(names) == 77 and stacksort.__all__ == names
+    assert len(names) == 74 and stacksort.__all__ == names
     assert set(names) <= set(dir(stacksort)) and stacksort.__version__ == "0.1.0"
     star: dict = {}
     exec("from stacksort import *", star)

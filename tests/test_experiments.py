@@ -274,7 +274,7 @@ def test_ratio_text():
     assert ratio_text(172, 545835) == "0.000315"
     assert ratio_text(5001, 7087261) == "0.000706"
     assert ratio_text(1, 2) == "0.500000"
-    assert ratio_text(3, 2, places=2) == "1.50"
+    assert ratio_text(3, 2) == "1.500000"
 
 
 def test_census_size_limit():

@@ -8,7 +8,6 @@ from stacksort import (
     DomainError,
     SizeLimitError,
     SortVariant,
-    TreeClass,
     VhcFilter,
     brute_count_avoiders,
     brute_preimages,
@@ -71,6 +70,8 @@ def test_empty_and_singleton_words():
         assert count_preimages_vhc((), variant) == 1
         assert count_preimages_vhc((1,), variant) == 1
         assert count_preimages_vhc((2, 1), variant) == 0
+        assert in_order_preimages((), variant) == [()]
+        assert list(build_preimage_trees((), (), variant)) == [None]
 
 
 def test_configs_of_212():
@@ -224,7 +225,7 @@ def test_build_preimage_trees_requires_family_membership():
         list(build_preimage_trees(w, config, FAST))  # config is not in the R family
     trees = list(build_preimage_trees(w, config, SLOW))
     assert [in_order(t) for t in trees] == [(2, 2, 1)]
-    assert all(postorder(t) == w and in_class(t, TreeClass.L) for t in trees)
+    assert all(postorder(t) == w and in_class(t, SLOW) for t in trees)
 
 
 def test_preimage_reconstruction_small(normalized):
@@ -241,14 +242,46 @@ def test_preimage_trees_land_in_their_class(normalized):
     for m in range(1, 5):
         for w in normalized(m):
             for variant in SortVariant:
-                cls = TreeClass.R if variant is FAST else TreeClass.L
                 seen = set()
                 for config in enumerate_vhc(w, filter_for(variant)):
                     for tree in build_preimage_trees(w, config, variant):
                         assert postorder(tree) == w
-                        assert in_class(tree, cls)
+                        assert in_class(tree, variant)
                         assert tree not in seen
                         seen.add(tree)
+
+
+def _nodes_by_position(tree, m):
+    """Each node of a tree on m nodes, keyed by its 1-based postorder position."""
+    nodes, todo = {}, [(tree, m)]
+    while todo:
+        t, end = todo.pop()
+        if t is not None:
+            nodes[end] = t
+            todo += [(t.right, end - 1), (t.left, end - 1 - len(in_order(t.right)))]
+    return nodes
+
+
+def test_hooks_are_child_links_on_fixed_sides(normalized):
+    # j's right child is j - 1 in postorder, so the small hook (j - 1, j) hangs
+    # right and any other hook into j left; the slow operator swings an equal
+    # right child to the left, where it is an only child
+    links = 0
+    for m in range(0, 7):
+        for w in normalized(m):
+            for variant in SortVariant:
+                for config in enumerate_vhc(w, filter_for(variant)):
+                    for tree in build_preimage_trees(w, config, variant):
+                        nodes = _nodes_by_position(tree, m)
+                        for i, j in config:
+                            if i < j - 1:
+                                assert nodes[j].left is nodes[i]
+                            elif variant is SLOW and w[i - 1] == w[j - 1]:
+                                assert nodes[j].left is nodes[i] and nodes[j].right is None
+                            else:
+                                assert nodes[j].right is nodes[i]
+                            links += 1
+    assert links == 28950
 
 
 def test_brute_preimages_of_identity_are_avoiders():

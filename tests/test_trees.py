@@ -1,7 +1,6 @@
 from stacksort import (
     PlaneTree,
     SortVariant,
-    TreeClass,
     in_class,
     in_order,
     parse_word,
@@ -9,10 +8,10 @@ from stacksort import (
     sort_fast,
     sort_slow,
     sort_via_trees,
-    tree_class_for,
-    tree_to_text,
     word_to_tree,
 )
+
+FAST, SLOW = SortVariant.FAST, SortVariant.SLOW
 
 # The two decreasing trees on {1..7} sharing postorder 2413567: their in-order
 # readings are 4276153 and 2476153.
@@ -22,6 +21,11 @@ INORDER_RIGHT = (2, 4, 7, 6, 1, 5, 3)
 # Golden trees for the word 23123311, frozen from the recursive construction.
 GOLD_R = "(3 (2 . .) (3 (2 (1 . .) .) (3 . (1 . (1 . .)))))"
 GOLD_L = "(3 (3 (3 (2 . .) (2 (1 . .) .)) .) (1 (1 . .) .))"
+
+
+def text(t):
+    """Nested "(label left right)", "." for the empty tree: the goldens' format."""
+    return "." if t is None else f"({t.label} {text(t.left)} {text(t.right)})"
 
 
 def test_traversals_single_node():
@@ -34,74 +38,59 @@ def test_traversals_single_node():
 
 def test_decreasing_tree_postorders():
     for w in (INORDER_LEFT, INORDER_RIGHT):
-        t = word_to_tree(w, TreeClass.R)
+        t = word_to_tree(w, FAST)
         assert in_order(t) == w
         assert postorder(t) == (2, 4, 1, 3, 5, 6, 7)
         # permutations: both classes build the same tree
-        assert word_to_tree(w, TreeClass.L) == t
+        assert word_to_tree(w, SLOW) == t
 
 
 def test_golden_trees_23123311():
     w = parse_word("23123311")
-    tr = word_to_tree(w, TreeClass.R)
-    tl = word_to_tree(w, TreeClass.L)
-    assert tree_to_text(tr) == GOLD_R
-    assert tree_to_text(tl) == GOLD_L
+    tr = word_to_tree(w, FAST)
+    tl = word_to_tree(w, SLOW)
+    assert text(tr) == GOLD_R
+    assert text(tl) == GOLD_L
     assert in_order(tr) == w and in_order(tl) == w
-    assert in_class(tr, TreeClass.R)
-    assert in_class(tl, TreeClass.L)
+    assert in_class(tr, FAST)
+    assert in_class(tl, SLOW)
 
 
 def test_equal_letter_word_trees():
     # the maximum splits at its first occurrence for R, last for L
-    r = word_to_tree((1, 1), TreeClass.R)
+    r = word_to_tree((1, 1), FAST)
     assert r == PlaneTree(1, None, PlaneTree(1))
-    l = word_to_tree((1, 1), TreeClass.L)
+    l = word_to_tree((1, 1), SLOW)
     assert l == PlaneTree(1, PlaneTree(1), None)
-    assert in_class(r, TreeClass.R) and in_class(l, TreeClass.L)
-    assert not in_class(r, TreeClass.L) and not in_class(l, TreeClass.R)
+    assert in_class(r, FAST) and in_class(l, SLOW)
+    assert not in_class(r, SLOW) and not in_class(l, FAST)
 
 
 def test_in_class_rejects_equal_children_on_wrong_side():
-    assert not in_class(PlaneTree(2, None, PlaneTree(2)), TreeClass.L)
-    assert not in_class(PlaneTree(2, PlaneTree(2), None), TreeClass.R)
-    assert not in_class(PlaneTree(2, PlaneTree(3), None), TreeClass.R)  # not decreasing
+    assert not in_class(PlaneTree(2, None, PlaneTree(2)), SLOW)
+    assert not in_class(PlaneTree(2, PlaneTree(2), None), FAST)
+    assert not in_class(PlaneTree(2, PlaneTree(3), None), FAST)  # not decreasing
 
 
 def test_roundtrip_and_class_membership(normalized):
     for m in range(0, 6):
         for w in normalized(m):
-            for cls in TreeClass:
-                t = word_to_tree(w, cls)
+            for variant in SortVariant:
+                t = word_to_tree(w, variant)
                 assert in_order(t) == w
-                assert in_class(t, cls)
+                assert in_class(t, variant)
 
 
 def test_postorder_is_the_sorting_pass():
-    assert sort_via_trees((2, 2, 1), SortVariant.FAST) == (1, 2, 2)
-    assert sort_via_trees((4, 1, 6, 2), SortVariant.FAST) == (1, 4, 2, 6)
-    assert sort_via_trees((), SortVariant.SLOW) == ()
-    assert postorder(word_to_tree((2, 2, 1), TreeClass.L)) == sort_slow((2, 2, 1)) == (2, 1, 2)
+    assert sort_via_trees((2, 2, 1), FAST) == (1, 2, 2)
+    assert sort_via_trees((4, 1, 6, 2), FAST) == (1, 4, 2, 6)
+    assert sort_via_trees((), SLOW) == ()
+    assert postorder(word_to_tree((2, 2, 1), SLOW)) == sort_slow((2, 2, 1)) == (2, 1, 2)
 
 
 def test_tree_correspondence_exhaustive(normalized):
     for m in range(0, 6):
         for w in normalized(m):
-            assert sort_via_trees(w, SortVariant.FAST) == sort_fast(w)
-            assert sort_via_trees(w, SortVariant.SLOW) == sort_slow(w)
+            assert sort_via_trees(w, FAST) == sort_fast(w)
+            assert sort_via_trees(w, SLOW) == sort_slow(w)
 
-
-def test_tree_class_for():
-    assert tree_class_for(SortVariant.FAST) is TreeClass.R
-    assert tree_class_for(SortVariant.SLOW) is TreeClass.L
-
-
-def test_tree_to_text_matches_the_recursive_format(normalized):
-    def text(t):
-        return "." if t is None else f"({t.label} {text(t.left)} {text(t.right)})"
-
-    assert tree_to_text(None) == "."
-    for w in normalized(4):
-        for cls in TreeClass:
-            t = word_to_tree(w, cls)
-            assert tree_to_text(t) == text(t)
