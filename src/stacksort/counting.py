@@ -23,7 +23,6 @@ and `save_memo` writes those contents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -182,8 +181,7 @@ def fuss_catalan(ell: int, n: int) -> int:
     return quotient
 
 
-@dataclass(frozen=True)
-class GenTreeSpec:
+class GenTreeSpec(NamedTuple):
     """A generating tree: the axiom label and the succession rule.
 
     The rule maps a label to the labels of the objects it generates; it may be

@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
 from itertools import product
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .sorting import (
     SortVariant,
@@ -38,6 +37,7 @@ from .sorting import (
 )
 from .words import (
     MAX_SCAN_LEN,  # re-exported: the length bound of every scan here
+    MAX_VHC_LEN,
     ContentVector,
     DomainError,
     InvariantError,
@@ -56,8 +56,7 @@ FERTILITY_BRUTE_MAX = 4  # fertility_demo runs brute force for m up to this
 MAX_ENUM_SUM = 12  # largest word length whose class `image_pair_counts` takes on
 
 
-@dataclass
-class CensusResult:
+class CensusResult(NamedTuple):
     """Distance-gap census of all normalized words of one length."""
 
     length: int
@@ -330,7 +329,11 @@ def fertility_demo(m: int) -> dict:
 
     The permutation witness has 2m preimages, the word with the doubled 1 has
     2m+1, under both operators.  Brute force runs only for m <= FERTILITY_BRUTE_MAX.
+    A witness longer than MAX_VHC_LEN is refused before either is built.
     """
+    too_long = [n for n in (2 * m, 2 * m + 1) if n > MAX_VHC_LEN]  # the witnesses' lengths
+    if too_long:
+        raise SizeLimitError(f"word length {too_long[0]} exceeds limit {MAX_VHC_LEN}")
     from .hooks import brute_preimages, count_preimages_vhc, in_order_preimages
 
     start = time.perf_counter()

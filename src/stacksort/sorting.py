@@ -89,20 +89,17 @@ def sort_via_stack(w: Word, variant: SortVariant) -> Word:
     """One sorting pass through the stack machine (linear time).
 
     FAST pushes while the incoming letter is <= the stack top, so it pops only
-    strictly smaller tops; SLOW pops weakly smaller tops.
+    strictly smaller tops; SLOW pops weakly smaller tops, which on integer
+    letters are the tops smaller than x + 1.
     """
     out: list[int] = []
     stack: list[int] = []
-    if variant is SortVariant.FAST:
-        for x in w:
-            while stack and stack[-1] < x:
-                out.append(stack.pop())
-            stack.append(x)
-    else:
-        for x in w:
-            while stack and stack[-1] <= x:
-                out.append(stack.pop())
-            stack.append(x)
+    slow = variant is SortVariant.SLOW
+    for x in w:
+        bound = x + slow
+        while stack and stack[-1] < bound:
+            out.append(stack.pop())
+        stack.append(x)
     while stack:
         out.append(stack.pop())
     return tuple(out)

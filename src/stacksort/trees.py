@@ -13,14 +13,13 @@ trees in postorder performs one pass of that operator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .sorting import SortVariant
 from .words import Word
 
 
-@dataclass(frozen=True)
-class PlaneTree:
+class PlaneTree(NamedTuple):
     """Immutable binary plane tree node; None stands for the empty tree."""
 
     label: int

@@ -56,6 +56,7 @@ from stacksort import (
     standardize_ascending,
     standardize_descending,
     uniform_avoider_tree,
+    verify_exceptional_pattern_claim,
     worst_case_word,
 )
 from stacksort.experiments import ratio_text
@@ -163,6 +164,10 @@ def test_census_lengths_eight_and_nine_are_pinned(census):
         assert result.gap_histogram == histogram, m
         lines = "".join(f"{format_word(w)} {df} {ds}\n" for w, df, ds in result.exceptional)
         assert hashlib.sha256(lines.encode()).hexdigest() == digest, m
+    # 34 exceptional words of length 9 contain none of the four of length 7
+    claim = verify_exceptional_pattern_claim(9, WORKERS)
+    assert (claim["members"], claim["violators"]) == (5001, 34)
+    assert {"773824561", "773825461", "773842561"} <= set(claim["witnesses"])
 
 
 @criterion(4, "worst-case families meet the distance bounds; bounds hold everywhere, sum <= 8")

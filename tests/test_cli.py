@@ -472,10 +472,18 @@ def test_import_loads_no_submodule():
     assert {m for m in modules_loaded_by("import stacksort") if m.startswith("stacksort.")} == set()
 
 
+# No command loads `dataclasses` or the `inspect` it imports: records are NamedTuples.
+RECORD_MODULES = {"dataclasses", "inspect"}
+
+
 @pytest.mark.parametrize("argv, unwanted", [
     (["distance", "3662451"], {"stacksort.hooks", "stacksort.experiments", "stacksort.counting",
-                               "multiprocessing", "fractions"}),
-    (["exceptional", "--max-len", "3"], {"multiprocessing", "stacksort.hooks"}),
+                               "multiprocessing", "fractions", *RECORD_MODULES}),
+    (["exceptional", "--max-len", "3"], {"multiprocessing", "stacksort.hooks", *RECORD_MODULES}),
+    (["preimages", "3211456", "--map", "fast", "--method", "vhc", "--list"],
+     {"stacksort.experiments", "stacksort.counting", *RECORD_MODULES}),
+    (["count-sortable", "--map", "slow", "2", "2", "2"],
+     {"stacksort.hooks", "stacksort.experiments", "json", *RECORD_MODULES}),
 ])
 def test_command_loads_only_what_it_runs(argv, unwanted):
     loaded = modules_loaded_by(f"from stacksort import cli\nassert cli.main({argv!r}) == 0")

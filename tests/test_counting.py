@@ -12,12 +12,14 @@ from stacksort import (
     brute_count_avoiders,
     catalan,
     count_fast_sortable,
+    count_preimages,
     count_slow_sortable,
     distance,
     distance_bound,
     enumerate_words,
     fuss_catalan,
     generating_tree_level_counts,
+    identity,
     positive_compositions,
     uniform_avoider_tree,
     word_space_size,
@@ -323,14 +325,23 @@ def full_content_counter(step):
 
 def test_counters_match_the_full_content_recursion():
     # the memo keys take the fast count's symmetry and zero-blindness, and the
-    # slow count's independence of the last entry, as given; this checks them
+    # slow count's independence of the last entry, as given; this checks them.
+    # The one-pass-sortable words of content c are the preimages of c's
+    # identity word, so the tree DP `count_preimages` is a second, independent
+    # method, checked also on contents beyond the full recursion's reach.
     fast = full_content_counter(full_content_fast_step)
     slow = full_content_counter(unfactored_slow_step)
     counting.clear_memo()
     contents = [c for m in range(1, 13) for c in positive_compositions(m)]
-    for c in contents + [(3, 0, 2, 0, 1), (0, 4, 0), (2, 0, 0, 3, 1), (0, 0, 1, 2)]:
-        assert count_fast_sortable(c) == fast(c), c
-        assert count_slow_sortable(c) == slow(tuple(k for k in c if k)), c
+    contents += [(3, 0, 2, 0, 1), (0, 4, 0), (2, 0, 0, 3, 1), (0, 0, 1, 2)]
+    long_contents = [(1,) * 40, (2,) * 20, (3, 1, 4, 1, 5, 9, 2, 6)]
+    for c in contents + long_contents:
+        fast_count, slow_count = count_fast_sortable(c), count_slow_sortable(c)
+        assert count_preimages(identity(c), SortVariant.FAST) == fast_count, c
+        assert count_preimages(identity(c), SortVariant.SLOW) == slow_count, c
+        if c not in long_contents:
+            assert fast_count == fast(c), c
+            assert slow_count == slow(tuple(k for k in c if k)), c
 
 
 def recursive_memo(c, rec):

@@ -263,6 +263,16 @@ def test_fertility_demo_skips_brute_beyond_limit():
         assert entry["fast"]["vhc"] == entry["expected"]
 
 
+@pytest.mark.parametrize("m, message", [(6, "word length 13 exceeds limit 12"),
+                                        (7, "word length 14 exceeds limit 12")])
+def test_fertility_demo_refuses_before_building_a_witness(monkeypatch, m, message):
+    built = []
+    monkeypatch.setattr(experiments, "fertility_witness", lambda *args: built.append(args))
+    with pytest.raises(SizeLimitError, match=message):
+        fertility_demo(m)
+    assert built == []
+
+
 def test_pattern_claim_self_containment():
     report = verify_exceptional_pattern_claim(7)
     assert report["members"] == 4
