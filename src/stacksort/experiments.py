@@ -12,6 +12,10 @@ wins are expanded back into their words, by running that split backwards.
 Everything downstream (the exceptional-word census, gap counts, conjecture
 scans) reads off one such scan, which is cached per length in-process.
 
+Inside this engine words are `bytes`, which hash and slice faster than
+tuples, and they leave it as tuples.  The pairs of small block contents
+recur across classes, so a process keeps them for one census in `_pair_memo`.
+
 Scans partition the word space by content vector, so they parallelize without
 changing output: partitions are merged in canonical (lexicographic content)
 order regardless of worker scheduling.  Reports are plain dicts with a fixed
@@ -88,21 +92,23 @@ def image_pair_counts(c: ContentVector) -> dict[tuple[Word, Word], int]:
         raise DomainError("content entries must be nonnegative")
     if sum(c) > MAX_ENUM_SUM:
         raise SizeLimitError(f"word length {sum(c)} exceeds limit {MAX_ENUM_SUM}")
-    return _pair_counts(c, {})
+    return {(tuple(f), tuple(s)): x for (f, s), x in _pair_counts(c, {}).items()}
 
 
-def _pair_counts(c: ContentVector, memo: dict) -> dict[tuple[Word, Word], int]:
-    """The pairs of W_c, for c without trailing zeros; `memo` keeps the pairs
-    of every content met, under that same key."""
+def _pair_counts(c: ContentVector, memo: dict) -> dict[tuple[bytes, bytes], int]:
+    """The pairs of W_c, for c without trailing zeros, as `bytes` words;
+    `memo` keeps the pairs of every content met, under that same key.  A
+    census passes `_pair_memo`, so later classes reuse the small blocks."""
     got = memo.get(c)
     if got is not None:
         return got
     out = memo[c] = {}
     if not c:
-        out[(), ()] = 1
+        out[b"", b""] = 1
         return out
     n, k = len(c), c[-1]
-    tail, sep = (n,) * k, (n,)
+    sep = bytes((n,))
+    tail = sep * k
     for a, b in _splits(c[:-1]):
         cut = sum(a)  # the length of fast(A) without its k - 1 trailing n's
         right = _pair_counts(_strip_zeros(b), memo).items()
@@ -130,6 +136,11 @@ def _strip_zeros(c: ContentVector) -> ContentVector:
     return c[:end]
 
 
+# Pairs of block contents, kept across the classes of one census in this
+# process (see `_census_content`), so one census runs at a time.
+_pair_memo: dict[ContentVector, dict[tuple[bytes, bytes], int]] = {}
+
+
 def _census_content(c: tuple[int, ...]) -> tuple[dict[int, int], list]:
     """Scan one content class through its (fast image, slow image) pair counts.
 
@@ -139,13 +150,18 @@ def _census_content(c: tuple[int, ...]) -> tuple[dict[int, int], list]:
     `distances` walks the distinct fast images once and the distinct slow
     images once.  Only the pairs with a positive gap are expanded back into
     words, by `_words_with_pair`, and their number must equal the pairs' count.
+
+    The pairs go into `_pair_memo`, and when the class is done only its
+    contents of sum <= m - 2 stay there for the next class: the class's own
+    pairs and the blocks of sum m - 1, each used by at most one other class,
+    are the largest.  `distance_census` empties the memo when it returns.
     """
-    memo: dict = {}
+    memo = _pair_memo
     pairs = _pair_counts(c, memo)
     fast_d = _image_distances([f for f, _ in pairs], SortVariant.FAST)
     slow_d = _image_distances([s for _, s in pairs], SortVariant.SLOW)
     hist: dict[int, int] = {}
-    wanted: list[tuple[Word, Word]] = []
+    wanted: list[tuple[bytes, bytes]] = []
     for (f, s), count in pairs.items():
         gap = fast_d[f] - slow_d[s]
         hist[gap] = hist.get(gap, 0) + count
@@ -156,17 +172,20 @@ def _census_content(c: tuple[int, ...]) -> tuple[dict[int, int], list]:
                    for w in _words_with_pair(c, f, s, memo, listed))
     if len(words) != sum(pairs[pair] for pair in wanted):
         raise InvariantError(f"the exceptional pairs of W_{c} expand to {len(words)} words")
-    return hist, words
+    keep = sum(c) - 2
+    for b in [b for b in memo if sum(b) > keep]:
+        del memo[b]
+    return hist, [(tuple(w), df, ds) for w, df, ds in words]
 
 
-def _image_distances(images: list[Word], variant: SortVariant) -> dict[Word, int]:
+def _image_distances(images: list[bytes], variant: SortVariant) -> dict[bytes, int]:
     distinct = list(dict.fromkeys(images))
     return dict(zip(distinct, distances(distinct, variant)))
 
 
-def _words_with_pair(c: ContentVector, f: Word, s: Word, memo: dict, listed: dict) -> list[Word]:
+def _words_with_pair(c: ContentVector, f: bytes, s: bytes, memo: dict, listed: dict) -> list[bytes]:
     """The words of W_c with pair (f, s), for (f, s) in memo[c], as
-    `_pair_counts` left it.
+    `_pair_counts` left it, all as `bytes`.
 
     This runs the split w = A n B of `image_pair_counts` backwards.  With
     k >= 2 copies of n the last n but one of s ends slow(A); with k = 1 every
@@ -175,26 +194,26 @@ def _words_with_pair(c: ContentVector, f: Word, s: Word, memo: dict, listed: dic
     listed by `_block_words`.
     """
     n, k = len(c), c[-1]
-    head = s[:-1]
-    lengths = [len(head) - head[::-1].index(n)] if k > 1 else range(len(s))
-    out: list[Word] = []
+    sep = bytes((n,))
+    lengths = [s.rindex(n, 0, -1) + 1] if k > 1 else range(len(s))
+    out: list[bytes] = []
     for i in lengths:  # the length of A
         j = i - k + 1  # fast(A) is f[:j] and its k - 1 trailing n's
-        left, right = (f[:j] + (n,) * (k - 1), s[:i]), (f[j:-k], s[i:-1])
+        left, right = (f[:j] + sep * (k - 1), s[:i]), (f[j:-k], s[i:-1])
         a, b = content(left[1]), content(right[1])
         if left not in memo[a] or right not in memo[b]:
             continue
         lefts = _words_with_pair(a, *left, memo, listed) if k > 1 else _block_words(a, listed)[left]
         rights = _block_words(b, listed)[right]
-        out += [x + (n,) + y for x in lefts for y in rights]
+        out += [x + sep + y for x in lefts for y in rights]
     return out
 
 
-def _block_words(b: tuple[int, ...], listed: dict) -> dict[tuple[Word, Word], list[Word]]:
+def _block_words(b: tuple[int, ...], listed: dict) -> dict[tuple[bytes, bytes], list[bytes]]:
     by_pair = listed.get(b)
     if by_pair is None:
         by_pair = listed[b] = {}
-        for w in enumerate_words(b):
+        for w in map(bytes, enumerate_words(b)):
             key = (sort_via_stack(w, SortVariant.FAST), sort_via_stack(w, SortVariant.SLOW))
             by_pair.setdefault(key, []).append(w)
     return by_pair
@@ -215,13 +234,16 @@ def distance_census(m: int, parallelism: int = 1) -> CensusResult:
         return cached
     contents = list(positive_compositions(m))
     workers = min(parallelism, os.cpu_count() or 1, len(contents))
-    if workers > 1:
-        from multiprocessing import get_context
+    try:
+        if workers > 1:
+            from multiprocessing import get_context
 
-        with get_context("fork").Pool(workers) as pool:
-            parts = pool.map(_census_content, contents, chunksize=1)
-    else:
-        parts = [_census_content(c) for c in contents]
+            with get_context("fork").Pool(workers) as pool:
+                parts = pool.map(_census_content, contents, chunksize=1)
+        else:
+            parts = [_census_content(c) for c in contents]
+    finally:
+        _pair_memo.clear()
     hist: dict[int, int] = {}
     exceptional: list[tuple[Word, int, int]] = []
     for part_hist, part_exc in parts:

@@ -85,12 +85,13 @@ def _unfold(w: Word, expand: Callable[[int, list], list]) -> Word:
     return tuple(out)
 
 
-def sort_via_stack(w: Word, variant: SortVariant) -> Word:
+def sort_via_stack(w: Word | bytes, variant: SortVariant) -> Word | bytes:
     """One sorting pass through the stack machine (linear time).
 
     FAST pushes while the incoming letter is <= the stack top, so it pops only
     strictly smaller tops; SLOW pops weakly smaller tops, which on integer
-    letters are the tops smaller than x + 1.
+    letters are the tops smaller than x + 1.  A `bytes` word gives a `bytes`
+    image, any other word a tuple.
     """
     out: list[int] = []
     stack: list[int] = []
@@ -102,7 +103,7 @@ def sort_via_stack(w: Word, variant: SortVariant) -> Word:
         stack.append(x)
     while stack:
         out.append(stack.pop())
-    return tuple(out)
+    return bytes(out) if isinstance(w, bytes) else tuple(out)
 
 
 def sort_permutation(p: Word) -> Word:
@@ -178,8 +179,9 @@ def distance(w: Word, variant: SortVariant) -> int:
     return distances((w,), variant)[0]
 
 
-def distances(words: Iterable[Word], variant: SortVariant) -> list[int]:
-    """The distance of each word, for words that all share one content.
+def distances(words: Iterable[Word | bytes], variant: SortVariant) -> list[int]:
+    """The distance of each word, for words that all share one content and
+    one type, tuple or `bytes`.
 
     The identity word and the bound are computed once.  Each walk stops at
     the first word whose distance is known (the identity is known at 0), and
@@ -191,14 +193,15 @@ def distances(words: Iterable[Word], variant: SortVariant) -> list[int]:
     words = list(words)
     if not words:
         return []
-    target = tuple(sorted(words[0]))  # the identity word of the content
+    target = sorted(words[0])  # the identity word of the content, in the words' type
+    target = bytes(target) if isinstance(words[0], bytes) else tuple(target)
     # Both operators only compare letters, so the bound of the distinct
     # letters' multiplicities holds, without a content entry per value.
     bound = distance_bound(tuple(len(list(g)) for _, g in groupby(target)), variant)
     known = {target: 0}
     out = []
     for w in words:
-        path: list[Word] = []
+        path: list[Word | bytes] = []
         cur = w
         while (d := known.get(cur)) is None and len(path) <= bound:
             path.append(cur)

@@ -90,12 +90,37 @@ def test_exceptional_words_recheck():
 
 
 def test_parallel_census_matches_serial():
-    serial = distance_census(6)
-    experiments._census_cache.pop(6, None)
-    parallel = distance_census(6, parallelism=2)
+    # length 8 has 172 exceptional words, listed from the forked workers' memos
+    experiments._census_cache.pop(8, None)
+    serial = distance_census(8)
+    experiments._census_cache.pop(8, None)
+    parallel = distance_census(8, parallelism=2)
+    assert len(serial.exceptional) == 172
     assert parallel.gap_histogram == serial.gap_histogram
     assert parallel.exceptional == serial.exceptional
     assert parallel.total == serial.total
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["serial", "in-process pool"])
+def test_pair_memo_lives_for_one_census(monkeypatch, fake_pools, pooled):
+    # the memo is shared across classes but keeps only contents of sum <= m - 2
+    # between them, and is empty once the census returns
+    census_content = experiments._census_content
+    before: list[int] = []  # memo entries each class starts from
+
+    def checked(c):
+        before.append(len(experiments._pair_memo))
+        part = census_content(c)
+        assert all(sum(b) <= sum(c) - 2 for b in experiments._pair_memo), c
+        return part
+
+    monkeypatch.setattr(experiments, "_census_content", checked)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    census = distance_census(8, parallelism=2 if pooled else 1)
+    assert fake_pools == ([2] if pooled else [])
+    assert len(before) == 2 ** 7 and before[0] == 0 and max(before) > 0
+    assert experiments._pair_memo == {}
+    assert len(census.exceptional) == 172
 
 
 def test_gap_census_length_seven():
@@ -206,11 +231,11 @@ def test_words_with_pair_lists_the_words_of_each_pair():
             expected.setdefault(key, []).append(w)
         memo: dict = {}
         listed: dict = {}
-        pairs = experiments._pair_counts(c, memo)
-        assert pairs.keys() == expected.keys(), c
+        pairs = experiments._pair_counts(c, memo)  # the engine's words are bytes
+        assert {(tuple(f), tuple(s)) for f, s in pairs} == expected.keys(), c
         for f, s in pairs:
             words = experiments._words_with_pair(c, f, s, memo, listed)
-            assert sorted(words) == expected[f, s], (c, f, s)
+            assert sorted(map(tuple, words)) == expected[tuple(f), tuple(s)], (c, f, s)
 
 
 def test_census_checks_the_number_of_words_it_lists(monkeypatch):

@@ -219,6 +219,23 @@ def test_distances_match_a_walk_per_word():
                 assert distances(images, variant) == expected, (c, variant)
 
 
+def test_bytes_and_tuple_words_sort_alike(normalized):
+    # the census engine's bytes words against tuples, on every normalized word
+    # of length <= 7: the same images and distances, each image in its input's type
+    for m in range(8):
+        classes: dict = {}
+        for w in normalized(m):
+            classes.setdefault(content(w), []).append(w)
+        for words in classes.values():
+            as_bytes = [bytes(w) for w in words]
+            for variant in SortVariant:
+                for w, b in zip(words, as_bytes):
+                    image, image_b = sort_via_stack(w, variant), sort_via_stack(b, variant)
+                    assert type(image) is tuple and type(image_b) is bytes
+                    assert tuple(image_b) == image, (w, variant)
+                assert distances(as_bytes, variant) == distances(words, variant), (words[0], variant)
+
+
 def test_distances_refuse_a_mixed_content_batch():
     with pytest.raises(InvariantError):
         distances([(2, 1, 2), (2, 1)], SLOW)
