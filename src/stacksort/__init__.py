@@ -34,7 +34,6 @@ _EXPORTS = {
         "gap_census",
         "image_pair_counts",
         "scan_conjectures",
-        "verify_exceptional_pattern_claim",
     ),
     "hooks": (
         "Hook",

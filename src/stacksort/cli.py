@@ -318,6 +318,21 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Counts print exactly, past Python's 4,300-digit int/str limit, which is
+    # lifted for this call only (Python 3.10 before 3.10.7 has none).  Parsing
+    # stays bounded: one argv token is at most 128 KiB.
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is None:
+        return _main(argv)
+    previous = limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def _main(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.format == "csv" and args.command != "count-sortable":

@@ -10,7 +10,8 @@ distinct image once per operator.  The pairs come from one two-way split of
 each word at the last copy of its largest letter.  Only the pairs where slow
 wins are expanded back into their words, by running that split backwards.
 Everything downstream (the exceptional-word census, gap counts, conjecture
-scans) reads off one such scan, which is cached per length in-process.
+scans) reads off one such scan.  Each call runs its own scan and the process
+keeps none of it, so what a caller does to a result changes no other.
 
 Inside this engine words are `bytes`, which hash and slice faster than
 tuples, and they leave it as tuples.  The pairs of small block contents
@@ -48,7 +49,6 @@ from .words import (
     SizeLimitError,
     Word,
     check_scan_length,
-    contains_pattern,
     content,
     enumerate_words,
     format_word,
@@ -219,19 +219,13 @@ def _block_words(b: tuple[int, ...], listed: dict) -> dict[tuple[bytes, bytes], 
     return by_pair
 
 
-_census_cache: dict[int, CensusResult] = {}
-
-
 def distance_census(m: int, parallelism: int = 1) -> CensusResult:
-    """Gap census over all normalized words of length m (cached per length).
+    """Gap census over all normalized words of length m, computed on every call.
 
     It runs on at most `parallelism` worker processes, and never on more than
-    there are CPUs or content classes.
+    there are CPUs or content classes.  The process keeps nothing of it.
     """
     check_scan_length(m)
-    cached = _census_cache.get(m)
-    if cached is not None:
-        return cached
     contents = list(positive_compositions(m))
     workers = min(parallelism, os.cpu_count() or 1, len(contents))
     try:
@@ -250,9 +244,7 @@ def distance_census(m: int, parallelism: int = 1) -> CensusResult:
         for gap, count in part_hist.items():
             hist[gap] = hist.get(gap, 0) + count
         exceptional.extend(part_exc)
-    result = CensusResult(m, sum(hist.values()), dict(sorted(hist.items())), exceptional)
-    _census_cache[m] = result
-    return result
+    return CensusResult(m, sum(hist.values()), dict(sorted(hist.items())), exceptional)
 
 
 def ratio_text(num: int, den: int) -> str:
@@ -382,26 +374,6 @@ def fertility_demo(m: int) -> dict:
         "experiment": "fertility-demo",
         "parameters": {"m": m, "brute_limit": FERTILITY_BRUTE_MAX},
         "words": entries,
-        "elapsed_seconds": time.perf_counter() - start,
-    }
-
-
-def verify_exceptional_pattern_claim(m: int, parallelism: int = 1) -> dict:
-    """Check that every exceptional length-m word (m <= MAX_SCAN_LEN) contains
-    an exceptional length-7 word as a pattern; reports the violators."""
-    check_scan_length(m)
-    start = time.perf_counter()
-    base = [w for w, _, _ in distance_census(7, parallelism).exceptional]
-    members = [w for w, _, _ in distance_census(m, parallelism).exceptional]
-    violators = [w for w in members if not any(contains_pattern(w, p) for p in base)]
-    witnesses, truncated = _witnesses(violators)
-    return {
-        "experiment": "exceptional-pattern-claim",
-        "parameters": {"length": m},
-        "members": len(members),
-        "violators": len(violators),
-        "witnesses": witnesses,
-        "truncated": truncated,
         "elapsed_seconds": time.perf_counter() - start,
     }
 

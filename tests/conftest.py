@@ -30,11 +30,9 @@ def fake_pools(monkeypatch):
     """Sizes of the census pools asked for, with no process started.
 
     `multiprocessing.get_context` returns a context whose pools run their
-    map in the calling process; the census cache starts empty.
+    map in the calling process.
     """
     import multiprocessing
-
-    from stacksort import experiments
 
     sizes: list[int] = []
 
@@ -53,5 +51,4 @@ def fake_pools(monkeypatch):
 
     context = SimpleNamespace(Pool=Pool)
     monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: context)
-    monkeypatch.setattr(experiments, "_census_cache", {})
     return sizes

@@ -13,6 +13,7 @@ from stacksort import (
     SortVariant,
     catalan,
     cli,
+    contains_pattern,
     count_fast_sortable,
     count_preimages,
     count_slow_sortable,
@@ -34,7 +35,6 @@ from stacksort import (
     positive_compositions,
     scan_conjectures,
     sort_via_stack,
-    verify_exceptional_pattern_claim,
 )
 from stacksort.experiments import ratio_text, report_json
 
@@ -91,9 +91,7 @@ def test_exceptional_words_recheck():
 
 def test_parallel_census_matches_serial():
     # length 8 has 172 exceptional words, listed from the forked workers' memos
-    experiments._census_cache.pop(8, None)
     serial = distance_census(8)
-    experiments._census_cache.pop(8, None)
     parallel = distance_census(8, parallelism=2)
     assert len(serial.exceptional) == 172
     assert parallel.gap_histogram == serial.gap_histogram
@@ -123,6 +121,30 @@ def test_pair_memo_lives_for_one_census(monkeypatch, fake_pools, pooled):
     assert len(census.exceptional) == 172
 
 
+@pytest.mark.parametrize("pooled", [False, True], ids=["serial", "in-process pool"])
+def test_a_census_is_a_value(monkeypatch, fake_pools, pooled):
+    # what a caller does to a returned census changes no later result: every
+    # call computes its own, and pools again
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    workers = 2 if pooled else 1
+    first = distance_census(7, workers)
+    expected = first._replace(gap_histogram=dict(first.gap_histogram),
+                              exceptional=list(first.exceptional))
+    first.exceptional.clear()
+    first.gap_histogram[0] += 5
+    del first.gap_histogram[1]
+    assert distance_census(7, workers) == expected
+    report = find_exceptional(7, workers)
+    assert (report["exceptional_count"], report["ratio"]) == (4, "0.000085")
+    assert set(report["witnesses"]) == E7
+    scan = scan_conjectures(7, workers)
+    assert scan["exceptional_checked"] == 4
+    assert scan["ratios"][-1] == {"length": 7, "exceptional": 4, "normalized": 47293,
+                                  "ratio": "0.000085"}
+    # lengths 2-7 of the scan have more than one class, length 1 has one
+    assert fake_pools == ([2] * (3 + 6) if pooled else [])
+
+
 def test_gap_census_length_seven():
     report = gap_census(7, 1)
     assert report["count"] == 4
@@ -142,8 +164,14 @@ def test_scan_conjectures_small():
     assert report["ratios"][-1]["ratio"] == "0.000085"
 
 
-def test_reports_are_deterministic():
+def test_reports_are_deterministic(monkeypatch):
+    # two computations, each over all 64 classes of length 7, print alike
+    census_content = experiments._census_content
+    classes = []
+    monkeypatch.setattr(experiments, "_census_content",
+                        lambda c: classes.append(c) or census_content(c))
     a, b = find_exceptional(7), find_exceptional(7)
+    assert len(classes) == 2 * 2 ** 6
     assert "elapsed_seconds" in report_json(a)
     del a["elapsed_seconds"], b["elapsed_seconds"]
     assert report_json(a) == report_json(b)
@@ -252,7 +280,6 @@ def test_census_checks_the_number_of_words_it_lists(monkeypatch):
         return {pair: words[1:] for pair, words in by_pair.items()}
 
     monkeypatch.setattr(experiments, "_block_words", lossy)
-    monkeypatch.setattr(experiments, "_census_cache", {})
     with pytest.raises(InvariantError):
         distance_census(7)
     assert seen
@@ -298,12 +325,6 @@ def test_fertility_demo_refuses_before_building_a_witness(monkeypatch, m, messag
     assert built == []
 
 
-def test_pattern_claim_self_containment():
-    report = verify_exceptional_pattern_claim(7)
-    assert report["members"] == 4
-    assert report["violators"] == 0
-
-
 def test_ratio_text():
     assert ratio_text(4, 47293) == "0.000085"
     assert ratio_text(172, 545835) == "0.000315"
@@ -315,12 +336,9 @@ def test_ratio_text():
 def test_census_size_limit():
     with pytest.raises(SizeLimitError):
         distance_census(11)
-    with pytest.raises(SizeLimitError):
-        verify_exceptional_pattern_claim(11)
 
 
 @pytest.mark.parametrize("scan", [distance_census, find_exceptional, scan_conjectures,
-                                  verify_exceptional_pattern_claim,
                                   lambda m: gap_census(m, 1)])
 def test_negative_scan_length_is_a_domain_error(scan):
     with pytest.raises(DomainError):
@@ -349,7 +367,10 @@ def test_length_ten_census():
     assert census.gap_histogram == LENGTH_TEN_HISTOGRAM
     assert len(census.exceptional) == 124_751
     assert sum(1 for _, df, ds in census.exceptional if df > 2 * ds - 2) == 8
-    assert verify_exceptional_pattern_claim(10)["violators"] == 1_870
+    # 1,870 of them contain none of the four exceptional words of length 7
+    e7 = [parse_word(text) for text in sorted(E7)]
+    assert sum(1 for w, _, _ in census.exceptional
+               if not any(contains_pattern(w, p) for p in e7)) == 1_870
     lines = "".join(f"{format_word(w)} {df} {ds}\n" for w, df, ds in census.exceptional)
     assert hashlib.sha256(lines.encode()).hexdigest() == (
         "48019293f300ea4b7d93e1f2e0ca2c0170d2e08a8c926cccffb25703492e5448")
@@ -365,7 +386,6 @@ def test_traced_workloads_read_every_assigned_layer(monkeypatch, tmp_path):
         pytest.skip("perfbench's run module has no ASSIGNED, layer_metrics or workloads")
     cache_command = run.workloads.cli_argv(
         run.workloads.load_reference("cli-tour")["cache_command"], str(tmp_path / "memo.json"))
-    monkeypatch.setattr(experiments, "_census_cache", {})
     traced = tracer.Tracer()
     traced.install()  # fails if a wrapped library name is gone
     try:  # through the module attributes, which the tracer wraps
