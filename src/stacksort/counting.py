@@ -2,8 +2,9 @@
 
 A word sorts to the identity in one fast pass iff it avoids the pattern 231,
 and in one slow pass iff it avoids both 231 and 221, so the counters here are
-equally counters of pattern-avoiding words with prescribed content.  Both
-recurrences condition on how the copies of the largest letter split the word.
+equally counters of pattern-avoiding words with prescribed content.  The
+fast count recurs on how the copies of a letter split the word; the slow
+count walks the paper's generating tree, one letter value at a time.
 All arithmetic is exact (Python integers); memo tables live for the process
 and can be persisted to a JSON file purely as a warm-start optimization
 (`json` is imported only then).
@@ -23,6 +24,7 @@ and `save_memo` writes those contents.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -50,7 +52,7 @@ def count_fast_sortable(c: ContentVector) -> int:
     2s fuse, or the word is split by where the last-popped 1-run ends.  Zero
     entries are meaningful and arise inside the recursion.
     """
-    if any(k < 0 for k in c):
+    if min(c, default=0) < 0:
         raise DomainError("content entries must be nonnegative")
     return _evaluate(_FAST, tuple(c))
 
@@ -78,34 +80,26 @@ def count_slow_sortable(c: ContentVector) -> int:
     relabeling preserves avoidance counting.  The value never depends on the
     last entry of the (stripped) vector.
     """
-    if any(k < 0 for k in c):
+    if min(c, default=0) < 0:
         raise DomainError("content entries must be nonnegative")
-    return _evaluate(_SLOW, tuple(k for k in c if k))
+    return _evaluate(_SLOW, tuple(filter(None, c)))
 
 
 def _slow_step(c: ContentVector, count: Callable[[ContentVector], int]) -> int:
-    """One step of the slow recurrence (c zero-free, len(c) >= 2), reading
-    smaller values from `count`.
+    """The slow count of a zero-free c (len(c) >= 2) along the paper's
+    generating tree; `count` is not read.
 
-    c[-1] is never read.  The sum over the splits of c[i-1] has the factor
-    count(c[:i-1] + (k,)) in every term, which does not depend on k; the
-    count of c[:i] stands for it.
+    An avoider of 231 and 221 has sites: cut points, ends included, with no
+    letter before larger than one after.  k copies of a new largest letter
+    extend it exactly when the first goes into a site and the rest at the
+    end; into the r-th site, that gives r + k sites.  `ways[j]` counts the
+    words of the letters so far with len(ways) - j sites (the empty word has
+    one).  c[-1] copies go into any site of any word, so it is not read.
     """
-    n = len(c)
-    value = 2 * count(c[:-1])
-    for i in range(1, n - 1):
-        value += count(c[:i]) * count(c[i:-1])
-    for i in range(1, n):
-        if c[i - 1] > 1:
-            tail = c[i:-1]
-            value += count(c[:i]) * sum(count((k,) + tail) for k in range(1, c[i - 1]))
-    return value
-
-
-def _slow_key(c: ContentVector) -> ContentVector | None:
-    """The memo key of a zero-free c's slow count: c without its last entry,
-    or None when c has at most one entry and the count is 1."""
-    return c[:-1] if len(c) > 1 else None
+    ways = [1]
+    for k in c[:-1]:
+        ways = [*accumulate(ways), *[0] * k]
+    return sum(accumulate(ways))
 
 
 class _Recurrence(NamedTuple):
@@ -120,7 +114,7 @@ class _Recurrence(NamedTuple):
 
 
 _FAST = _Recurrence("fast", _fast_step, _fast_key, _fast_memo, {})
-_SLOW = _Recurrence("slow", _slow_step, _slow_key, _slow_memo, {})
+_SLOW = _Recurrence("slow", _slow_step, lambda c: c[:-1] if len(c) > 1 else None, _slow_memo, {})
 
 
 class _Missing(Exception):
@@ -243,15 +237,20 @@ def brute_count_avoiders(
     of W_c sharing w[:e-1]: such a word either shares w[:e] as well, or has
     a larger letter in place of w[e-1] and w[e-1] further right.  So when a
     word contains a pattern, the walk over W_c skips the later words sharing
-    w[:e-1] for the smallest end e that `contains_pattern` reports, and
-    still counts exactly the avoiders.
+    w[:e-1], and still counts exactly the avoiders.  Each pattern is scanned
+    once, a later one only in w[:e-1] for the end e found so far: that
+    prefix holds every occurrence ending before e, so the skip is never
+    later than the smallest end `contains_pattern` reports on w.
     """
     size = word_space_size(c)
     if size > space_limit:
         raise SizeLimitError(f"|W_c| = {size} exceeds limit {space_limit}")
 
     def reject(w: Word) -> int:
-        return min(filter(None, (contains_pattern(w, p) for p in patterns)), default=0)
+        end = 0
+        for p in patterns:
+            end = contains_pattern(w[: end - 1] if end else w, p) or end
+        return end
 
     return sum(1 for _ in enumerate_words(c, reject=reject))
 
@@ -339,7 +338,8 @@ def _check_entries(
     wrong entry.  A step reads keys that come before its own, or its own
     key through a shorter content (a fast content with a zero second
     entry), and looks their counts up in the entries already checked, the
-    in-process table or the base case.  So every accepted value is exact,
+    in-process table or the base case; a slow step reads none, so each
+    slow entry is checked on its own.  So every accepted value is exact,
     and a loaded file cannot change a result.
     """
     checked: dict[ContentVector, tuple[ContentVector, int]] = {}

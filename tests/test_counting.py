@@ -129,11 +129,11 @@ def test_fuss_catalan_values():
 
 
 def test_uniform_words_everything_agrees():
-    for ell in (1, 2):
-        levels = generating_tree_level_counts(uniform_avoider_tree(ell), 4)
-        for n in range(1, 5):
+    for ell in range(1, 5):
+        levels = generating_tree_level_counts(uniform_avoider_tree(ell), 12)
+        for n in range(1, 13):
             value = fuss_catalan(ell, n)
-            assert count_slow_sortable((ell,) * n) == value
+            assert count_slow_sortable((ell,) * n) == value, (ell, n)
             assert levels[n - 1] == value
             if word_space_size((ell,) * n) <= 10_000:
                 assert brute_count_avoiders((ell,) * n, [P231, P221]) == value
@@ -223,12 +223,18 @@ def test_load_memo_refuses_values_the_recurrence_contradicts(tmp_path, key, cont
 
 
 def test_load_memo_refuses_entries_without_their_subterms(tmp_path):
+    # the fast step reads smaller counts; the slow step reads none, so a
+    # right slow entry loads on its own
     counting.clear_memo()
     path = tmp_path / "memo.json"
-    path.write_text(json.dumps({"slow": {"2,2,2": "12"}}), encoding="utf-8")
+    path.write_text(json.dumps({"fast": {"2,2,2": "43"}}), encoding="utf-8")
     with pytest.raises(ValueError):
         counting.load_memo(str(path))
-    assert counting._slow_memo == {}
+    assert counting._fast_memo == {} and counting._slow_memo == {}
+    path.write_text(json.dumps({"slow": {"2,2,2": "12"}}), encoding="utf-8")
+    counting.load_memo(str(path))
+    assert counting._slow_memo == {(2, 2): 12}
+    counting.clear_memo()
 
 
 def test_load_memo_refuses_slow_entries_with_zeros(tmp_path):
@@ -371,8 +377,10 @@ def test_recurrences_memoize_what_the_recursion_stores(c):
 
 
 def test_recurrences_need_no_python_recursion():
-    # both chains are deeper than the interpreter's recursion limit
+    # the fast chain is deeper than the interpreter's recursion limit; the
+    # slow count reads no subterm and takes long contents in one walk
     counting.clear_memo()
     assert count_fast_sortable((1, 1500)) == 1501
-    assert count_slow_sortable((1,) * 600) == catalan(600)
+    assert count_slow_sortable((1,) * 2000) == catalan(2000)
+    assert count_slow_sortable((2,) * 500) == fuss_catalan(2, 500)
     counting.clear_memo()

@@ -378,7 +378,8 @@ def test_length_ten_census():
 
 def test_traced_workloads_read_every_assigned_layer(monkeypatch, tmp_path):
     # The benchmark's traced run fails when a layer it assigns to a workload
-    # reads zero; run each workload's calls once under its tracer to see it here.
+    # reads zero; run each workload's calls once under its own tracer to see
+    # it here.  Calls go through the module attributes, which the tracer wraps.
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     run = pytest.importorskip("run", reason="perfbench has no run module")
     tracer = pytest.importorskip("tracer", reason="perfbench has no tracer module")
@@ -386,25 +387,38 @@ def test_traced_workloads_read_every_assigned_layer(monkeypatch, tmp_path):
         pytest.skip("perfbench's run module has no ASSIGNED, layer_metrics or workloads")
     cache_command = run.workloads.cli_argv(
         run.workloads.load_reference("cli-tour")["cache_command"], str(tmp_path / "memo.json"))
-    traced = tracer.Tracer()
-    traced.install()  # fails if a wrapped library name is gone
-    try:  # through the module attributes, which the tracer wraps
+
+    def census():
         experiments.distance_census(7, parallelism=1)  # length 6 has no exceptional words
+
+    def preimages():
         hooks.count_preimages((1, 3, 2, 4), FAST)
         hooks.in_order_preimages((2, 1, 3, 4), SLOW)
-        counting.brute_count_avoiders((1, 1, 1, 1), [(2, 3, 1)])
-        counting.count_fast_sortable((2, 1, 2))
+
+    def avoiders():
+        counting.brute_count_avoiders((1, 1, 1, 1), [(2, 3, 1), (2, 2, 1)])
         counting.count_slow_sortable((2, 1, 2))
-        counting.clear_memo()  # as in a fresh process
+
+    def cli_tour():
         for argv in (cache_command, cache_command,  # writes the file, then loads it
                      ["distance", "3662451"], ["gap-census", "--len", "7", "--gap", "1"]):
             assert cli.main(argv) == 0
-    finally:
-        traced.uninstall()
-    metrics = run.layer_metrics(traced.summary())
+
     # the worker sets the cli layers from process walls, and
     # parallel_efficiency from two runs
     unset = {"experiments.parallel_efficiency", "cli.main_s", "cli.process_overhead_s"}
-    zero = [name for workload in ("census", "preimages", "avoiders", "cli-tour")
-            for name in run.ASSIGNED[workload] if name not in unset and not metrics[name]]
-    assert zero == []
+    zero = {}
+    for workload, calls in [("census", census), ("preimages", preimages),
+                            ("avoiders", avoiders), ("cli-tour", cli_tour)]:
+        counting.clear_memo()  # as in a fresh process
+        traced = tracer.Tracer()
+        traced.install()  # fails if a wrapped library name is gone
+        try:
+            calls()
+        finally:
+            traced.uninstall()
+        metrics = run.layer_metrics(traced.summary())
+        zero[workload] = [name for name in run.ASSIGNED[workload]
+                          if name not in unset and not metrics[name]]
+    counting.clear_memo()
+    assert zero == {"census": [], "preimages": [], "avoiders": [], "cli-tour": []}

@@ -23,6 +23,7 @@ from stacksort import (
     positive_compositions,
     word_space_size,
 )
+from stacksort import counting
 
 
 def multinomial(c):
@@ -137,14 +138,29 @@ def test_contains_pattern_matches_definition_on_longer_words(data):
 @pytest.mark.parametrize(
     "patterns",
     [[], [()], [(1, 1)], [(1, 2)], [(2, 1, 3)], [(2, 1, 3, 1)], [(2, 3, 1)],
-     [(2, 3, 1), (2, 2, 1)]],
-    ids=["none", "empty", "11", "12", "213", "2131", "231", "231+221"],
+     [(2, 3, 1), (2, 2, 1)], [(2, 3, 1), (2, 2, 1), (3, 1, 2)],
+     [(3, 1, 2), (2, 2, 1), (2, 3, 1)], [(1, 2), ()]],
+    ids=["none", "empty", "11", "12", "213", "2131", "231", "231+221", "231+221+312",
+         "312+221+231", "12+empty"],
 )
-def test_brute_count_avoiders_matches_plain_filter(patterns):
+def test_brute_count_avoiders_matches_plain_filter(monkeypatch, patterns):
     # the prefix-skipping count against a filter over every word of W_c; the
     # contents include (), where the empty pattern leaves no avoider.  A walk
     # that skipped from e - 2 instead of e - 1 would pass over 21 after 12,
-    # and count no avoider of 12 in W_(1,1)
+    # and count no avoider of 12 in W_(1,1).  Any occurrence end is a valid
+    # skip, so the count alone would pass a later one: each skip is checked
+    # to be an occurrence end no later than any `contains_pattern` reports.
+    def spy(c, reject):
+        def checked(w):
+            e = reject(w)
+            ends = [end for end in (contains_pattern(w, p) for p in patterns) if end]
+            assert e <= min(ends, default=0) and bool(e) == bool(ends), w
+            assert not e or any(contains_by_definition(w[:e], p) for p in patterns), w
+            return e
+
+        return enumerate_words(c, reject=checked)
+
+    monkeypatch.setattr(counting, "enumerate_words", spy)
     contents = [c for m in range(7) for c in positive_compositions(m)] + [(0, 2, 2), (3, 3)]
     for c in contents:
         plain = sum(
