@@ -4,18 +4,24 @@ The central scan covers every normalized word of a given length, computes
 both sorting distances, and aggregates the gap (fast distance minus slow
 distance) into a histogram, keeping the words where the slow operator wins
 outright.  It sorts no word: per content class, `image_pair_counts` gives the
-(fast image, slow image) pairs with the number of words behind each, a
-word's distance is one more than its image's, and `distances` walks each
-distinct image once per operator.  The pairs come from one two-way split of
-each word at the last copy of its largest letter.  Only the pairs where slow
-wins are expanded back into their words, by running that split backwards.
-Everything downstream (the exceptional-word census, gap counts, conjecture
-scans) reads off one such scan.  Each call runs its own scan and the process
-keeps none of it, so what a caller does to a result changes no other.
+(fast image, slow image) pairs with the number of words behind each, and a
+word's distance is one more than its image's.  `distances` walks each
+distinct fast image once.  A slow image's distance is the West distance of
+its ascending standardization, a sorted permutation, so it comes by lookup.
+Where only the letter 1 repeats, the fast distances are the slow ones.  The
+pairs come from one two-way split of each word at the last copy of its
+largest letter.  Only the pairs where slow wins are expanded back into their
+words, by running that split backwards.  Everything downstream (the
+exceptional-word census, gap counts, conjecture scans) reads off one such
+scan.  Each call runs its own scan and the process keeps none of it, so
+what a caller does to a result changes no other.
 
 Inside this engine words are `bytes`, which hash and slice faster than
 tuples, and they leave it as tuples.  The pairs of small block contents
 recur across classes, so a process keeps them for one census in `_pair_memo`.
+It keeps the slow distances for one census in `_slow_memo`, one per sorted
+permutation of length m met (at most 1,780 at length 8, 11,033 at length 9),
+and walks only the slow images it misses.
 
 Scans partition the word space by content vector, so they parallelize without
 changing output: partitions are merged in canonical (lexicographic content)
@@ -31,11 +37,12 @@ from __future__ import annotations
 
 import os
 import time
-from itertools import product
-from typing import Iterator, NamedTuple
+from itertools import islice, product
+from typing import Iterable, Iterator, NamedTuple
 
 from .sorting import (
     SortVariant,
+    distance_bound,
     distances,
     fertility_witness,
     sort_via_stack,
@@ -116,9 +123,12 @@ def _pair_counts(c: ContentVector, memo: dict) -> dict[tuple[bytes, bytes], int]
             f = f[:cut]
             for (g, t), y in right:
                 key = (f + g + tail, s + t + sep)
-                if k > 1 and key in out:  # the slow image fixes the split: a theorem
+                if k == 1:
+                    out[key] = out.get(key, 0) + x * y
+                elif key in out:  # the slow image fixes the split: a theorem
                     raise InvariantError(f"pair {key} arises twice in W_{c}")
-                out[key] = out.get(key, 0) + x * y
+                else:
+                    out[key] = x * y
     return out
 
 
@@ -136,9 +146,11 @@ def _strip_zeros(c: ContentVector) -> ContentVector:
     return c[:end]
 
 
-# Pairs of block contents, kept across the classes of one census in this
+# Pairs of block contents, and the slow distances of slow images under their
+# ascending standardizations, kept across the classes of one census in this
 # process (see `_census_content`), so one census runs at a time.
 _pair_memo: dict[ContentVector, dict[tuple[bytes, bytes], int]] = {}
+_slow_memo: dict[bytes, int] = {}
 
 
 def _census_content(c: tuple[int, ...]) -> tuple[dict[int, int], list]:
@@ -147,19 +159,39 @@ def _census_content(c: tuple[int, ...]) -> tuple[dict[int, int], list]:
     A word's distance is one more than its image's (the identity's is 0, but
     it is its own image under both operators and lands at gap 0 either way),
     so a pair (f, s) adds its count at gap d_fast(f) - d_slow(s).
-    `distances` walks the distinct fast images once and the distinct slow
-    images once.  Only the pairs with a positive gap are expanded back into
-    words, by `_words_with_pair`, and their number must equal the pairs' count.
+    `distances` walks the distinct fast images once.  A slow image's distance
+    is the West distance of its ascending standardization (see
+    `standardize_ascending`), so `_slow_memo` keeps it under that
+    permutation for every class of the census; only the misses are walked.
+    Its keys are sorted permutations of length m, so it holds at most as
+    many as there are: 1,780 at length 8, 11,033 at length 9, 76,028 at
+    length 10.  Every value looked up is checked against the class's slow
+    bound.
+
+    When only the letter 1 repeats (c[1:] all ones) the two operators are one
+    map on W_c: an equal stack top can only be a 1, and no smaller letter
+    arrives before it leaves.  So there f = s, and the fast distances are
+    the slow ones.
+
+    Only the pairs with a positive gap are expanded back into words, by
+    `_words_with_pair`, and their number must equal the pairs' count.
 
     The pairs go into `_pair_memo`, and when the class is done only its
     contents of sum <= m - 2 stay there for the next class: the class's own
     pairs and the blocks of sum m - 1, each used by at most one other class,
-    are the largest.  `distance_census` empties the memo when it returns.
+    are the largest.  Every content of an earlier class that stayed has sum
+    <= m - 2, so only the contents this class added are looked at.
+    `distance_census` empties both memos when it returns.
     """
     memo = _pair_memo
+    before = len(memo)
     pairs = _pair_counts(c, memo)
-    fast_d = _image_distances([f for f, _ in pairs], SortVariant.FAST)
-    slow_d = _image_distances([s for _, s in pairs], SortVariant.SLOW)
+    slow_d = _slow_distances(c, (s for _, s in pairs))
+    if all(k == 1 for k in c[1:]):  # f = s in every pair
+        fast_d = slow_d
+    else:
+        fast = list(dict.fromkeys(f for f, _ in pairs))
+        fast_d = dict(zip(fast, distances(fast, SortVariant.FAST)))
     hist: dict[int, int] = {}
     wanted: list[tuple[bytes, bytes]] = []
     for (f, s), count in pairs.items():
@@ -173,14 +205,44 @@ def _census_content(c: tuple[int, ...]) -> tuple[dict[int, int], list]:
     if len(words) != sum(pairs[pair] for pair in wanted):
         raise InvariantError(f"the exceptional pairs of W_{c} expand to {len(words)} words")
     keep = sum(c) - 2
-    for b in [b for b in memo if sum(b) > keep]:
+    for b in [b for b in islice(reversed(memo), len(memo) - before) if sum(b) > keep]:
         del memo[b]
     return hist, [(tuple(w), df, ds) for w, df, ds in words]
 
 
-def _image_distances(images: list[bytes], variant: SortVariant) -> dict[bytes, int]:
-    distinct = list(dict.fromkeys(images))
-    return dict(zip(distinct, distances(distinct, variant)))
+def _slow_distances(c: ContentVector, images: Iterable[bytes]) -> dict[bytes, int]:
+    """The slow distances of words of W_c, through `_slow_memo`.
+
+    A word's key is its ascending standardization with 128 added to each
+    value, so that no value is a letter: `table` maps each letter with one
+    copy to its value, and the copies of a repeated letter take theirs one
+    by one, leftmost first.
+    """
+    memo = _slow_memo
+    table = bytearray(range(256))
+    copies: list[tuple[bytes, bytes]] = []  # (letter, value) per copy of a repeated letter
+    value = 128
+    for i, k in enumerate(c, 1):
+        if k == 1:
+            table[i] = value + 1
+        else:
+            copies += [(bytes((i,)), bytes((value + j,))) for j in range(1, k + 1)]
+        value += k
+    table = bytes(table)
+    keys = {}
+    for s in dict.fromkeys(images):
+        key = s.translate(table)
+        for letter, new in copies:
+            key = key.replace(letter, new, 1)
+        keys[s] = key
+    misses = [s for s, key in keys.items() if key not in memo]
+    for s, d in zip(misses, distances(misses, SortVariant.SLOW)):
+        memo[keys[s]] = d
+    out = {s: memo[key] for s, key in keys.items()}
+    bound = distance_bound(c, SortVariant.SLOW)
+    if max(out.values()) > bound:  # a theorem: no memo entry exceeds it
+        raise InvariantError(f"a slow distance in W_{c} exceeds the bound {bound}")
+    return out
 
 
 def _words_with_pair(c: ContentVector, f: bytes, s: bytes, memo: dict, listed: dict) -> list[bytes]:
@@ -238,6 +300,7 @@ def distance_census(m: int, parallelism: int = 1) -> CensusResult:
             parts = [_census_content(c) for c in contents]
     finally:
         _pair_memo.clear()
+        _slow_memo.clear()
     hist: dict[int, int] = {}
     exceptional: list[tuple[Word, int, int]] = []
     for part_hist, part_exc in parts:

@@ -125,7 +125,14 @@ def standardize_ascending(w: Word) -> Word:
 
     The c_i copies of i become p_i+1, ..., p_i+c_i in order of appearance,
     where p_i counts the letters smaller than i.  The result is a permutation
-    of {1, ..., len(w)} and the map is injective.
+    of {1, ..., len(w)} and the map is injective on each content.
+
+    Theorem: the slow pass commutes with it, standardize_ascending(sort_slow(w))
+    = sort_permutation(standardize_ascending(w)), so the slow distance of w is
+    the West distance of its standardization (the identity word standardizes
+    to the identity).  Proof: an earlier copy of x gets the smaller value, so
+    West's map pops it before x goes on, as the slow pass pops an equal top;
+    the two stack machines make the same moves, and copies leave in order.
     """
     return _standardize(w, ascending=True)
 

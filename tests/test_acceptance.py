@@ -288,6 +288,7 @@ def test_criterion_8_operator_coherence(normalized):
                 p = sort_permutation(p)
                 u = sort_via_stack(u, SLOW)
                 assert u == collapse_letters(c, p)
+                assert p == standardize_ascending(u)  # slow is West's map on std_asc(w)
 
 
 @criterion(9, "conjecture scans find no counterexamples up to length 9; ratios match")

@@ -1,5 +1,8 @@
 import hashlib
 import os
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 from math import factorial
 from pathlib import Path
@@ -35,6 +38,7 @@ from stacksort import (
     positive_compositions,
     scan_conjectures,
     sort_via_stack,
+    standardize_ascending,
 )
 from stacksort.experiments import ratio_text, report_json
 
@@ -101,13 +105,16 @@ def test_parallel_census_matches_serial():
 
 @pytest.mark.parametrize("pooled", [False, True], ids=["serial", "in-process pool"])
 def test_pair_memo_lives_for_one_census(monkeypatch, fake_pools, pooled):
-    # the memo is shared across classes but keeps only contents of sum <= m - 2
-    # between them, and is empty once the census returns
+    # the memos are shared across classes, the pair memo keeps only contents
+    # of sum <= m - 2 between them, the slow memo at most one key per sorted
+    # permutation, and both are empty once the census returns
     census_content = experiments._census_content
-    before: list[int] = []  # memo entries each class starts from
+    before: list[int] = []  # pair memo entries each class starts from
+    slow_before: list[int] = []  # slow memo keys each class starts from
 
     def checked(c):
         before.append(len(experiments._pair_memo))
+        slow_before.append(len(experiments._slow_memo))
         part = census_content(c)
         assert all(sum(b) <= sum(c) - 2 for b in experiments._pair_memo), c
         return part
@@ -117,8 +124,54 @@ def test_pair_memo_lives_for_one_census(monkeypatch, fake_pools, pooled):
     census = distance_census(8, parallelism=2 if pooled else 1)
     assert fake_pools == ([2] if pooled else [])
     assert len(before) == 2 ** 7 and before[0] == 0 and max(before) > 0
-    assert experiments._pair_memo == {}
+    assert slow_before[0] == 0 and 0 < max(slow_before) <= len(image_pair_counts((1,) * 8))
+    assert experiments._pair_memo == {} and experiments._slow_memo == {}
     assert len(census.exceptional) == 172
+
+
+def test_slow_memo_shares_distances_across_classes(monkeypatch):
+    # one memo for every class of a length, as in a census: each lookup
+    # returns the word's own slow distance, under its ascending standardization
+    monkeypatch.setattr(experiments, "_slow_memo", {})
+    for m in range(8):
+        experiments._slow_memo.clear()
+        hits = 0
+        for c in positive_compositions(m):
+            words = list(enumerate_words(c))
+            hits += sum(bytes(128 + x for x in standardize_ascending(w)) in experiments._slow_memo
+                        for w in words)
+            got = experiments._slow_distances(c, map(bytes, words))
+            assert got == {bytes(w): distance(w, SLOW) for w in words}, c
+        assert len(experiments._slow_memo) == factorial(m)
+        assert hits == normalized_count(m) - factorial(m)
+
+
+BOUND_CHECK = """
+    import sys
+    from stacksort import InvariantError, distance_census, experiments
+    if __debug__ is OPTIMIZED:
+        sys.exit("-O is not as asked")
+    # the identity of length 3 at slow distance 1: inside the slow bound of
+    # every class of length 3 but (3,), whose bound is 0
+    experiments._slow_memo[bytes((129, 130, 131))] = 1
+    experiments._census_content((1, 1, 1))
+    try:
+        distance_census(3)
+    except InvariantError:
+        sys.exit("the census kept its slow memo" if experiments._slow_memo else 0)
+    sys.exit("the slow memo's bound check did not fire")
+"""
+
+
+def test_slow_memo_values_are_bound_checked():
+    # a memo value above the class's slow bound raises, also under `python -O`
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    for flags in ([], ["-O"]):
+        code = textwrap.dedent(BOUND_CHECK).replace("OPTIMIZED", str(bool(flags)))
+        proc = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, (flags, proc.stderr)
 
 
 @pytest.mark.parametrize("pooled", [False, True], ids=["serial", "in-process pool"])

@@ -272,6 +272,15 @@ def test_ascending_image_closed_under_sorting(normalized):
             assert standardize_ascending(collapse_letters(content(w), p)) == p
 
 
+def test_fast_and_slow_agree_when_only_1_repeats():
+    # on content (k, 1, ..., 1) an equal stack top is a 1 and leaves before a
+    # smaller letter can arrive, so the two passes are one map
+    for m in range(1, 8):
+        for k in range(1, m + 1):
+            for w in enumerate_words((k,) + (1,) * (m - k)):
+                assert sort_via_stack(w, FAST) == sort_via_stack(w, SLOW), w
+
+
 def test_fast_side_has_no_iterated_identity():
     # two equal letters meet in the stack: the descending image is not preserved
     w = (2, 2, 1)
