@@ -4,7 +4,7 @@ Two single-pass sorting operators act on words over the positive integers,
 differing only in whether equal letters may stack on each other.  The package
 computes their action (three interchangeable ways), their sorting distances,
 exact preimage counts through hook configurations on word plots, sortable-word
-counts from recurrences, and runs the exhaustive experiments that probe how
+counts along generating trees, and runs the exhaustive experiments that probe how
 the two operators compare.
 
 `import stacksort` loads no submodule.  Each name below is imported from its

@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--space-limit", type=_int_at_least(0), default=words.MAX_SPACE,
                         metavar="SIZE", help="maximum content-class size for brute-force passes")
     parser.add_argument("--cache", metavar="PATH",
-                        help="memo cache file, one entry per memo key; purely a warm start")
+                        help="file of sortable counts, each checked on load; purely a warm start")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sort", help="apply an operator, optionally tracing the chain")
@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter", choices=("all", "binary", "R", "L"), default="all")
     p.add_argument("--show-coloring", action="store_true")
 
-    p = sub.add_parser("count-sortable", help="sortable-word counts from the recurrences")
+    p = sub.add_parser("count-sortable", help="sortable-word counts along the generating trees")
     p.add_argument("--map", choices=("fast", "slow"), required=True)
     p.add_argument("content", type=int, nargs="+", metavar="c")
 

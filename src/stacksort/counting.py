@@ -1,35 +1,31 @@
-"""Counting sortable words: recurrences, Fuss-Catalan values, generating trees.
+"""Counting sortable words: generating trees and Fuss-Catalan values.
 
 A word sorts to the identity in one fast pass iff it avoids the pattern 231,
 and in one slow pass iff it avoids both 231 and 221, so the counters here are
-equally counters of pattern-avoiding words with prescribed content.  The
-fast count recurs on how the copies of a letter split the word; the slow
-count walks the paper's generating tree, one letter value at a time.
-All arithmetic is exact (Python integers); memo tables live for the process
-and can be persisted to a JSON file purely as a warm-start optimization
-(`json` is imported only then).
+equally counters of pattern-avoiding words with prescribed content.  Both walk
+the paper's generating trees: the copies of each letter value in turn join,
+as the new largest letter, words labelled by their sites (cut points, ends
+included, with no letter before larger than one after; the empty word has
+one).  All arithmetic is exact (Python integers).
 
-Each memo is keyed by what its count reads of the content, so that contents
-with one count share one entry.  The fast count ignores zero entries and is
-symmetric in the content, so `_fast_memo` is keyed by the sorted nonzero
-entries.  The slow count is taken on the zero-free content and never reads
-its last entry, so `_slow_memo` is keyed by the zero-free content without
-its last entry.  A key with a count of 1 (at most one nonzero entry) is not
-stored.  Each step runs on a content as it is asked for, not on a canonical
-one, and each key remembers the first content its value was taken at
-(`_Recurrence.contents`): the fast step on a sorted content reads many more
-distinct keys than on the content asked for (3,300 against 666 for (4,)*10),
-and `save_memo` writes those contents.
+Each memo holds one count per key for the process; a missing key is walked
+from the empty word.  The fast count ignores zeros and is symmetric, so its
+key is the sorted nonzero content; the slow count never reads the last entry
+of the zero-free content, so its key is that content without it.  A count of
+1 (at most one nonzero entry) is not stored.  The memos can be saved to a
+JSON file purely as a warm start (`json` is imported only then).
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
 from math import comb
+from operator import add
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .words import (
     MAX_SPACE,
+    MAX_TREE_DEPTH,
     ContentVector,
     DomainError,
     InvariantError,
@@ -48,119 +44,66 @@ _slow_memo: dict[ContentVector, int] = {}
 def count_fast_sortable(c: ContentVector) -> int:
     """Number of words with content c that one fast pass sorts.
 
-    Recurrence on the second entry: either no letter 2 occurs and the 1s and
-    2s fuse, or the word is split by where the last-popped 1-run ends.  Zero
-    entries are meaningful and arise inside the recursion.
+    The count walks the fast generating tree, of words avoiding 231.  k
+    copies of a new largest letter extend one with L sites in two ways: all
+    at the end, giving L + k sites; or the first into the r-th site, r < L,
+    and j of the others (0 <= j < k) at the end, giving r + j + 1 sites in
+    C(k-j-1 + L-r-1, k-j-1) ways.  An absent letter value adds nothing, and
+    the count is symmetric in c.
     """
     if min(c, default=0) < 0:
         raise DomainError("content entries must be nonnegative")
-    return _evaluate(_FAST, tuple(c))
+    return _memoized(_fast_memo, _fast_walk, tuple(sorted(filter(None, c))))
 
 
-def _fast_step(c: ContentVector, count: Callable[[ContentVector], int]) -> int:
-    """One step of the fast recurrence (len(c) >= 2), reading smaller values from `count`."""
-    rest = c[2:]
-    if c[1] == 0:
-        return count((c[0],) + rest)
-    value = count((c[0] + c[1],) + rest)
-    return value + sum(count((r, c[1] - 1) + rest) for r in range(1, c[0] + 1))
-
-
-def _fast_key(c: ContentVector) -> ContentVector | None:
-    """The memo key of c's fast count: its nonzero entries sorted, or None
-    when at most one is left and the count is 1."""
-    key = tuple(sorted(filter(None, c)))
-    return key if len(key) > 1 else None
+def _fast_walk(c: ContentVector) -> int:
+    """The fast count of c.  Summed over L, the binomial above is the
+    (k-j)-fold suffix sum of the counts per label, read at label r + 1.
+    `ways[i]` counts the words with len(ways) - i sites, so such a suffix
+    sum is a prefix sum (`accumulate`) here, and a letter costs k passes.
+    """
+    if len(c) < 2:
+        return 1
+    ways = [1]
+    for k in c:
+        grown = [*ways, *[0] * k]
+        sums = ways[:-1]  # the labels L >= 2, which have a site r < L
+        for t in range(1, k + 1):  # t = k - j
+            sums = [*accumulate(sums)]
+            grown[t : t + len(sums)] = map(add, grown[t : t + len(sums)], sums)
+        ways = grown
+    return sum(ways)
 
 
 def count_slow_sortable(c: ContentVector) -> int:
     """Number of words with content c that one slow pass sorts.
 
-    Zero entries are stripped first: dropping an absent letter value and
-    relabeling preserves avoidance counting.  The value never depends on the
-    last entry of the (stripped) vector.
+    The count walks the paper's generating tree, of words avoiding 231 and
+    221, on c without its zeros.  k copies of a new largest letter extend
+    one exactly when the first goes into a site and the rest at the end;
+    into the r-th site, that gives r + k sites.  The copies of the last
+    letter go into any site, so its entry is never read.
     """
     if min(c, default=0) < 0:
         raise DomainError("content entries must be nonnegative")
-    return _evaluate(_SLOW, tuple(filter(None, c)))
+    return _memoized(_slow_memo, _slow_walk, tuple(filter(None, c))[:-1])
 
 
-def _slow_step(c: ContentVector, count: Callable[[ContentVector], int]) -> int:
-    """The slow count of a zero-free c (len(c) >= 2) along the paper's
-    generating tree; `count` is not read.
-
-    An avoider of 231 and 221 has sites: cut points, ends included, with no
-    letter before larger than one after.  k copies of a new largest letter
-    extend it exactly when the first goes into a site and the rest at the
-    end; into the r-th site, that gives r + k sites.  `ways[j]` counts the
-    words of the letters so far with len(ways) - j sites (the empty word has
-    one).  c[-1] copies go into any site of any word, so it is not read.
-    """
+def _slow_walk(c: ContentVector) -> int:
+    """The slow count of c + (a,) for any a; `ways` is as in `_fast_walk`."""
     ways = [1]
-    for k in c[:-1]:
+    for k in c:
         ways = [*accumulate(ways), *[0] * k]
     return sum(accumulate(ways))
 
 
-class _Recurrence(NamedTuple):
-    """A memoized recurrence: its step, the memo key of a content (None for a
-    count of 1), the memo, and per key the first content its value was taken at."""
-
-    name: str
-    step: Callable[[ContentVector, Callable[[ContentVector], int]], int]
-    key: Callable[[ContentVector], ContentVector | None]
-    memo: dict[ContentVector, int]
-    contents: dict[ContentVector, ContentVector]
-
-
-_FAST = _Recurrence("fast", _fast_step, _fast_key, _fast_memo, {})
-_SLOW = _Recurrence("slow", _slow_step, lambda c: c[:-1] if len(c) > 1 else None, _slow_memo, {})
-
-
-class _Missing(Exception):
-    """A subterm that a recurrence step reads is not in the memo yet."""
-
-
-def _evaluate(rec: _Recurrence, c: ContentVector) -> int:
-    """The recurrence's value at c, memoizing every subterm it reads under
-    its key, on an explicit stack instead of Python recursion.
-
-    A step reads its subterms through a lookup that raises _Missing for one
-    whose key is not in the memo; that subterm is pushed and the step runs
-    again once its key is stored.  So an aborted run stops at a subterm
-    whose key is stored before the run is repeated: there are at most as
-    many aborted runs as new entries.  The memo ends up holding the same
-    entries as a memoized recursion with the same keys would store.
-    """
-    _, step, key_of, memo, contents = rec
-    key = key_of(c)
-    if key is None:
-        return 1
+def _memoized(memo: dict, walk: Callable[[ContentVector], int], key: ContentVector) -> int:
+    """walk(key), kept in memo unless it is 1 (a single letter value)."""
     value = memo.get(key)
-    if value is not None:
-        return value
-
-    def count(d: ContentVector) -> int:
-        key = key_of(d)
-        if key is None:
-            return 1
-        value = memo.get(key)
-        if value is None:
-            raise _Missing(d)
-        return value
-
-    pending = [c]
-    while pending:
-        d = pending[-1]
-        try:
-            value = step(d, count)
-        except _Missing as exc:
-            pending.append(exc.args[0])
-        else:
-            key = key_of(d)
+    if value is None:
+        value = walk(key)
+        if value > 1:
             memo[key] = value
-            contents.setdefault(key, d)  # the first d's step reads no count of its own key
-            pending.pop()
     return value
 
 
@@ -212,16 +155,25 @@ def generating_tree_level_counts(spec: GenTreeSpec, depth: int) -> list[int]:
     """Number of nodes on each of the first `depth` levels (level 1 is the axiom).
 
     Only label multiplicities are tracked per level, never the nodes
-    themselves, so level sizes may grow combinatorially without cost.
+    themselves.  The counts still grow in digits with the depth, and the
+    labels in number, so a depth above MAX_TREE_DEPTH, or more than
+    MAX_SPACE (label, child) steps in all, raises SizeLimitError.
     """
     if depth < 1:
         raise DomainError("depth must be >= 1")
+    if depth > MAX_TREE_DEPTH:
+        raise SizeLimitError(f"depth {depth} exceeds limit {MAX_TREE_DEPTH}")
     level: dict[int, int] = {spec.axiom: 1}
     sizes = [1]
+    steps = 0
     for _ in range(depth - 1):
         nxt: dict[int, int] = {}
         for label, count in level.items():
-            for child in spec.children(label):
+            children = spec.children(label)
+            steps += len(children)
+            if steps > MAX_SPACE:
+                raise SizeLimitError(f"more than {MAX_SPACE} (label, child) steps")
+            for child in children:
                 nxt[child] = nxt.get(child, 0) + count
         level = nxt
         sizes.append(sum(level.values()))
@@ -262,20 +214,17 @@ def brute_count_avoiders(
 def save_memo(path: str) -> None:
     """Write the memo tables to `path` as JSON maps from contents to counts.
 
-    The file holds one entry per memo key, in the order the keys were
-    stored: the first content the key's value was taken at, and that value.
-    A step on that content reads only keys stored before its own, so
-    `load_memo` can check each entry by one step from the entries before it.
-
-    The file is written beside `path` under a temporary name and then
-    renamed over it, so a failed write leaves the old file whole.
+    The file holds one content per memo key: the fast key itself, and the
+    slow key with a last entry of 1 appended.  It is written beside `path`
+    under a temporary name and then renamed over it, so a failed write
+    leaves the old file whole.
     """
     import json
     import os
 
     data = {
-        rec.name: {",".join(map(str, rec.contents[key])): str(v) for key, v in rec.memo.items()}
-        for rec in (_FAST, _SLOW)
+        "fast": {",".join(map(str, key)): str(v) for key, v in _fast_memo.items()},
+        "slow": {",".join(map(str, key + (1,))): str(v) for key, v in _slow_memo.items()},
     }
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -290,12 +239,12 @@ def save_memo(path: str) -> None:
 def load_memo(path: str) -> None:
     """Merge a `save_memo` file into the memo tables.
 
-    Each entry is a content and its count; contents with one memo key may
-    all appear, so files written when the memos were keyed by full content
-    load too.  A file that is not in that format, whose values do not follow
-    from the recurrences, or with a slow entry holding a zero (the slow step
-    is the slow recurrence only on zero-free contents) raises ValueError
-    (json.JSONDecodeError for bad JSON) and leaves the tables untouched.
+    Each entry is a content and its count, checked against a fresh walk of
+    the generating tree, so a loaded file cannot change a result.  Contents
+    with one memo key may all appear, so files written under other keys
+    load too.  A file that is not in that format, with a count the walk
+    contradicts, or with a slow entry holding a zero raises ValueError
+    (json.JSONDecodeError for bad JSON) before any entry is merged.
     """
     import json
 
@@ -304,70 +253,30 @@ def load_memo(path: str) -> None:
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object with 'fast' and 'slow' tables")
     staged = []
-    for rec in (_FAST, _SLOW):
-        entries = data.get(rec.name, {})
+    for name, memo, walk in (("fast", _fast_memo, _fast_walk), ("slow", _slow_memo, _slow_walk)):
+        entries = data.get(name, {})
         if not isinstance(entries, dict):
-            raise ValueError(f"the {rec.name!r} table is not a JSON object")
-        parsed = {}
+            raise ValueError(f"the {name!r} table is not a JSON object")
         for text, value in entries.items():
             try:
                 entry = tuple(int(t) for t in text.split(",") if t)
                 count = int(value)
             except (TypeError, ValueError):
-                raise ValueError(f"bad {rec.name!r} entry {text!r}: {value!r}") from None
+                raise ValueError(f"bad {name!r} entry {text!r}: {value!r}") from None
             if any(k < 0 for k in entry) or count < 0:
-                raise ValueError(f"bad {rec.name!r} entry {text!r}: {value!r}")
-            if rec is _SLOW and 0 in entry:
+                raise ValueError(f"bad {name!r} entry {text!r}: {value!r}")
+            if name == "slow" and 0 in entry:
                 raise ValueError(f"'slow' entry {text!r} has a zero entry")
-            parsed[entry] = count
-        staged.append((rec, _check_entries(rec, parsed)))
-    for rec, checked in staged:
-        for key, (c, value) in checked.items():
-            rec.memo[key] = value
-            rec.contents.setdefault(key, c)
-
-
-def _check_entries(
-    rec: _Recurrence, parsed: dict
-) -> dict[ContentVector, tuple[ContentVector, int]]:
-    """Per memo key, a loaded content and its count, each entry checked by
-    one recurrence step.
-
-    Entries are checked in the order of their keys by (sum, length), and
-    contents with one key shortest first, so the error names the smallest
-    wrong entry.  A step reads keys that come before its own, or its own
-    key through a shorter content (a fast content with a zero second
-    entry), and looks their counts up in the entries already checked, the
-    in-process table or the base case; a slow step reads none, so each
-    slow entry is checked on its own.  So every accepted value is exact,
-    and a loaded file cannot change a result.
-    """
-    checked: dict[ContentVector, tuple[ContentVector, int]] = {}
-
-    def count(d: ContentVector) -> int:
-        key = rec.key(d)
-        if key is None:
-            return 1
-        value = checked[key][1] if key in checked else rec.memo.get(key)
-        if value is None:
-            raise ValueError(f"the {rec.name!r} table lacks {d}, which the recurrence needs")
-        return value
-
-    def order(c: ContentVector) -> tuple[int, int, int]:
-        key = rec.key(c) or ()
-        return sum(key), len(key), len(c)
-
-    for c in sorted(parsed, key=order):
-        expected = 1 if len(c) <= 1 else rec.step(c, count)
-        if parsed[c] != expected:
-            raise ValueError(f"{rec.name!r} entry {c} is {parsed[c]}; the recurrence gives {expected}")
-        key = rec.key(c)
-        if key is not None:
-            checked.setdefault(key, (c, expected))
-    return checked
+            key = tuple(sorted(filter(None, entry))) if name == "fast" else entry[:-1]
+            expected = walk(key)
+            if count != expected:
+                raise ValueError(f"{name!r} entry {entry} is {count}; the generating tree gives {expected}")
+            if count > 1:
+                staged.append((memo, key, count))
+    for memo, key, count in staged:
+        memo[key] = count
 
 
 def clear_memo() -> None:
-    for rec in (_FAST, _SLOW):
-        rec.memo.clear()
-        rec.contents.clear()
+    _fast_memo.clear()
+    _slow_memo.clear()

@@ -30,6 +30,7 @@ Pattern = tuple[int, ...]
 MAX_SCAN_LEN = 10  # longest length of an exhaustive pass over normalized words
 MAX_SPACE = 2_000_000  # largest content class the brute-force passes exhaust
 MAX_VHC_LEN = 12  # longest word whose hook configurations or preimages are listed
+MAX_TREE_DEPTH = 5_000  # deepest level `generating_tree_level_counts` reaches
 
 _INF = float("inf")
 

@@ -258,6 +258,18 @@ def test_gentree_named_and_inline(capsys):
     assert code == 0 and out.strip() == "1 0 0 0"
 
 
+def test_gentree_is_bounded(capsys):
+    # fibonacci levels grow in digits with the depth, catalan-power levels
+    # also in labels; both are refused before the work runs away
+    for argv, reason in [(["--rule", "fibonacci", "--depth", "100000"], "exceeds limit"),
+                         (["--rule", "catalan-power", "--depth", "100000"], "exceeds limit"),
+                         (["--rule", "catalan-power", "--ell", "3", "--depth", "5000"], "steps")]:
+        code, out, err = run(capsys, "gentree", *argv)
+        assert code == 2 and out == "" and reason in err and "Traceback" not in err, argv
+    code, out, _ = run(capsys, "gentree", "--rule", "fibonacci", "--depth", "5000")
+    assert code == 0 and len(out.split()) == 5000
+
+
 def test_exceptional_scan(capsys):
     code, out, _ = run(capsys, "exceptional", "--max-len", "5")
     assert code == 0

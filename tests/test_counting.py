@@ -205,7 +205,7 @@ def test_memo_persistence_roundtrip(tmp_path):
     assert count_slow_sortable((3, 2, 4, 1)) == fresh
 
 
-@pytest.mark.parametrize("key, content", [("fast", (2, 1, 2)), ("slow", (3, 2, 4, 1))])
+@pytest.mark.parametrize("key, content", [("fast", (1, 2, 2)), ("slow", (3, 2, 4, 1))])
 def test_load_memo_refuses_values_the_recurrence_contradicts(tmp_path, key, content):
     counting.clear_memo()
     count_fast_sortable((2, 1, 2))
@@ -222,19 +222,19 @@ def test_load_memo_refuses_values_the_recurrence_contradicts(tmp_path, key, cont
     assert counting._fast_memo == {} and counting._slow_memo == {}
 
 
-def test_load_memo_refuses_entries_without_their_subterms(tmp_path):
-    # the fast step reads smaller counts; the slow step reads none, so a
-    # right slow entry loads on its own
+def test_load_memo_checks_each_entry_on_its_own(tmp_path):
+    # a right entry loads alone; a wrong one is refused, though the entries
+    # before it are right, and leaves the tables unchanged
     counting.clear_memo()
     path = tmp_path / "memo.json"
-    path.write_text(json.dumps({"fast": {"2,2,2": "43"}}), encoding="utf-8")
+    path.write_text(json.dumps({"fast": {"2,2,2": "43"}, "slow": {"2,2,2": "12"}}), encoding="utf-8")
+    counting.load_memo(str(path))
+    assert counting._fast_memo == {(2, 2, 2): 43} and counting._slow_memo == {(2, 2): 12}
+    counting.clear_memo()
+    path.write_text(json.dumps({"fast": {"2,2,2": "43", "2,1,2": "20"}}), encoding="utf-8")
     with pytest.raises(ValueError):
         counting.load_memo(str(path))
     assert counting._fast_memo == {} and counting._slow_memo == {}
-    path.write_text(json.dumps({"slow": {"2,2,2": "12"}}), encoding="utf-8")
-    counting.load_memo(str(path))
-    assert counting._slow_memo == {(2, 2): 12}
-    counting.clear_memo()
 
 
 def test_load_memo_refuses_slow_entries_with_zeros(tmp_path):
@@ -272,9 +272,29 @@ def test_memo_files_load_across_key_formats(tmp_path):
     assert (counting._fast_memo, counting._slow_memo) == loaded  # nothing recomputed
 
 
+# What `save_memo` wrote for count_fast_sortable((2, 1, 2)) and
+# count_slow_sortable((3, 1, 2)), each run cold, when the fast count was a
+# recurrence that kept, per key, the first content its value was taken at:
+# unsorted fast contents, and the slow content as asked for.
+FIRST_CONTENT_FILE = {
+    "fast": {"1,1": "2", "2,1": "3", "3,1": "4", "3,2": "10", "2,2": "6", "2,1,2": "19"},
+    "slow": {"3,1,2": "14"},
+}
+
+
+def test_memo_files_of_the_fast_recurrence_still_load(tmp_path):
+    path = tmp_path / "memo.json"
+    path.write_text(json.dumps(FIRST_CONTENT_FILE), encoding="utf-8")
+    counting.clear_memo()
+    counting.load_memo(str(path))
+    assert counting._fast_memo[(1, 2, 2)] == 19 and counting._slow_memo[(3, 1)] == 14  # warm
+    loaded = dict(counting._fast_memo), dict(counting._slow_memo)
+    assert (count_fast_sortable((2, 1, 2)), count_slow_sortable((3, 1, 2))) == (19, 14)
+    assert (counting._fast_memo, counting._slow_memo) == loaded  # nothing recomputed
+    counting.clear_memo()
+
+
 def test_saved_memos_load_back_as_they_were(tmp_path):
-    # one file entry per memo key: each key keeps the first content its value
-    # was taken at, and loading checks the entries in the order of their keys
     rng = random.Random(17)
     path = tmp_path / "memo.json"
     for _ in range(300):
@@ -284,10 +304,6 @@ def test_saved_memos_load_back_as_they_were(tmp_path):
             rng.choice([count_fast_sortable, count_slow_sortable])(c)
         memos = dict(counting._fast_memo), dict(counting._slow_memo)
         counting.save_memo(str(path))
-        data = json.loads(path.read_text(encoding="utf-8"))
-        for rec, memo in zip((counting._FAST, counting._SLOW), memos):
-            keys = [rec.key(tuple(int(t) for t in text.split(","))) for text in data[rec.name]]
-            assert keys == list(memo)
         counting.clear_memo()
         counting.load_memo(str(path))
         assert (counting._fast_memo, counting._slow_memo) == memos
@@ -350,37 +366,24 @@ def test_counters_match_the_full_content_recursion():
             assert slow_count == slow(tuple(k for k in c if k)), c
 
 
-def recursive_memo(c, rec):
-    """The entries a plain memoized recursion over `rec`'s step stores for c,
-    under `rec`'s keys."""
-    memo = {}
-
-    def count(d):
-        key = rec.key(d)
-        if key is None:
-            return 1
-        if key not in memo:
-            memo[key] = rec.step(d, count)
-        return memo[key]
-
-    count(c)
-    return memo
-
-
 @pytest.mark.parametrize("c", [(2, 1, 2), (3, 0, 2, 0, 1), (1, 1, 1, 1, 1, 1), (4, 3, 2, 1)])
-def test_recurrences_memoize_what_the_recursion_stores(c):
+def test_memos_hold_only_the_keys_asked_for(c):
+    # each count stores its own key and no other: the walks read no subterm
     counting.clear_memo()
-    count_fast_sortable(c)
-    count_slow_sortable(c)
-    assert counting._fast_memo == recursive_memo(c, counting._FAST)
-    assert counting._slow_memo == recursive_memo(tuple(k for k in c if k), counting._SLOW)
+    fast_n, slow_n = count_fast_sortable(c), count_slow_sortable(c)
+    stripped = tuple(k for k in c if k)
+    assert counting._fast_memo == {tuple(sorted(stripped)): fast_n}
+    assert counting._slow_memo == {stripped[:-1]: slow_n}
+    counting.clear_memo()
 
 
 def test_recurrences_need_no_python_recursion():
-    # the fast chain is deeper than the interpreter's recursion limit; the
-    # slow count reads no subterm and takes long contents in one walk
+    # both counts read no subterm and take long contents in one walk
     counting.clear_memo()
     assert count_fast_sortable((1, 1500)) == 1501
+    assert count_fast_sortable((1,) * 2000) == catalan(2000)
+    uneven = (7, 1, 3, 12, 2, 1, 1, 9, 4, 1, 30, 1, 1, 5, 2, 20, 1, 1, 1, 6)
+    assert count_fast_sortable(uneven) == count_preimages(identity(uneven), SortVariant.FAST)
     assert count_slow_sortable((1,) * 2000) == catalan(2000)
     assert count_slow_sortable((2,) * 500) == fuss_catalan(2, 500)
     counting.clear_memo()
