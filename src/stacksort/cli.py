@@ -49,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "at most the number of CPUs)")
     parser.add_argument("--limit", type=_int_at_least(0), default=words.MAX_VHC_LEN, metavar="LEN",
                         help="maximum word length for configuration enumeration and "
-                        "preimage listing (the dp count has no cap)")
+                        f"preimage listing (the dp count has its own cap, {words.MAX_DP_LEN})")
     parser.add_argument("--space-limit", type=_int_at_least(0), default=words.MAX_SPACE,
                         metavar="SIZE", help="maximum content-class size for brute-force passes")
     parser.add_argument("--cache", metavar="PATH",
@@ -69,9 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_word(p)
     p.add_argument("--map", choices=("fast", "slow"), required=True)
     p.add_argument("--method", choices=("dp", "vhc", "brute", "trees"), default="dp",
-                   help="dp: interval DP over trees (default, no length cap); vhc: the "
-                   "hook-configuration sum; brute: exhaust the content class; trees: "
-                   "count the reconstructed preimages")
+                   help=f"dp: interval DP over trees (default, at most {words.MAX_DP_LEN} "
+                   "letters); vhc: the hook-configuration sum; brute: exhaust the content "
+                   "class; trees: count the reconstructed preimages")
     p.add_argument("--list", action="store_true", dest="list_words")
 
     p = sub.add_parser("vhc", help="enumerate valid hook configurations")

@@ -12,8 +12,10 @@ Each memo holds one count per key for the process; a missing key is walked
 from the empty word.  The fast count ignores zeros and is symmetric, so its
 key is the sorted nonzero content; the slow count never reads the last entry
 of the zero-free content, so its key is that content without it.  A count of
-1 (at most one nonzero entry) is not stored.  The memos can be saved to a
-JSON file purely as a warm start (`json` is imported only then).
+1 (at most one nonzero entry) is not stored.  A key summing past
+MAX_TREE_DEPTH is refused (SizeLimitError) when it would be walked.  The
+memos can be saved to a JSON file purely as a warm start (`json` is imported
+only then).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 from .words import (
     MAX_SPACE,
     MAX_TREE_DEPTH,
+    MAX_UNIFORM_LEN,
     ContentVector,
     DomainError,
     InvariantError,
@@ -64,6 +67,7 @@ def _fast_walk(c: ContentVector) -> int:
     """
     if len(c) < 2:
         return 1
+    _check_depth(c)
     ways = [1]
     for k in c:
         grown = [*ways, *[0] * k]
@@ -91,10 +95,18 @@ def count_slow_sortable(c: ContentVector) -> int:
 
 def _slow_walk(c: ContentVector) -> int:
     """The slow count of c + (a,) for any a; `ways` is as in `_fast_walk`."""
+    _check_depth(c)
     ways = [1]
     for k in c:
         ways = [*accumulate(ways), *[0] * k]
     return sum(accumulate(ways))
+
+
+def _check_depth(c: ContentVector) -> None:
+    """Refuse a walk deeper than MAX_TREE_DEPTH letters: its label list and
+    passes grow with the depth, as `generating_tree_level_counts` levels do."""
+    if sum(c) > MAX_TREE_DEPTH:
+        raise SizeLimitError(f"a walk of {sum(c)} letters exceeds limit {MAX_TREE_DEPTH}")
 
 
 def _memoized(memo: dict, walk: Callable[[ContentVector], int], key: ContentVector) -> int:
@@ -108,9 +120,15 @@ def _memoized(memo: dict, walk: Callable[[ContentVector], int], key: ContentVect
 
 
 def fuss_catalan(ell: int, n: int) -> int:
-    """(1/(ell*n + 1)) * C((ell+1)*n, n); counts slow-sortable ell-uniform words."""
+    """(1/(ell*n + 1)) * C((ell+1)*n, n); counts slow-sortable ell-uniform words.
+
+    Its digits grow with the words' length ell * n, and printing them with
+    its square, so a length above MAX_UNIFORM_LEN raises SizeLimitError.
+    """
     if ell < 1 or n < 0:
         raise DomainError("fuss_catalan needs ell >= 1 and n >= 0")
+    if ell * n > MAX_UNIFORM_LEN:
+        raise SizeLimitError(f"uniform length {ell * n} exceeds limit {MAX_UNIFORM_LEN}")
     numerator = comb((ell + 1) * n, n)
     quotient, remainder = divmod(numerator, ell * n + 1)
     if remainder:
@@ -243,8 +261,9 @@ def load_memo(path: str) -> None:
     the generating tree, so a loaded file cannot change a result.  Contents
     with one memo key may all appear, so files written under other keys
     load too.  A file that is not in that format, with a count the walk
-    contradicts, or with a slow entry holding a zero raises ValueError
-    (json.JSONDecodeError for bad JSON) before any entry is merged.
+    contradicts, with a slow entry holding a zero, or with an entry too large
+    to walk raises ValueError (json.JSONDecodeError for bad JSON) before any
+    entry is merged.
     """
     import json
 
@@ -268,7 +287,10 @@ def load_memo(path: str) -> None:
             if name == "slow" and 0 in entry:
                 raise ValueError(f"'slow' entry {text!r} has a zero entry")
             key = tuple(sorted(filter(None, entry))) if name == "fast" else entry[:-1]
-            expected = walk(key)
+            try:
+                expected = walk(key)
+            except SizeLimitError as exc:
+                raise ValueError(f"{name!r} entry {text!r}: {exc}") from None
             if count != expected:
                 raise ValueError(f"{name!r} entry {entry} is {count}; the generating tree gives {expected}")
             if count > 1:

@@ -28,10 +28,11 @@ in-order readings are the preimages themselves.
 
 The production count, `count_preimages`, enumerates no configurations: it is
 an O(m^3) interval DP over those same trees (preimages of w correspond one to
-one with the trees of the operator's class whose postorder is w), with no
-length cap.  The configuration sum stays as `count_preimages_vhc`, the theorem
-the acceptance gate checks the DP against; listing (`in_order_preimages`)
-still runs through the configurations and `build_preimage_trees`.
+one with the trees of the operator's class whose postorder is w), for words
+of up to MAX_DP_LEN letters.  The configuration sum stays as
+`count_preimages_vhc`, the theorem the acceptance gate checks the DP against;
+listing (`in_order_preimages`) still runs through the configurations and
+`build_preimage_trees`.
 
 Enumeration is depth-first over the indices: each index i starts no hook or
 one hook (i, j).  Its only state is the hooks: `into[j]` lists the southwest
@@ -53,6 +54,7 @@ from typing import Iterator
 from .sorting import SortVariant, sort_via_stack
 from .trees import PlaneTree, in_order
 from .words import (
+    MAX_DP_LEN,
     MAX_SPACE,
     MAX_VHC_LEN,  # re-exported: the default listing bound here
     DomainError,
@@ -134,7 +136,9 @@ def _enumerate_pairs(w: Word, which: VhcFilter) -> list[HookConfig]:
         if i not in descents and not any(s in descents for s in sws):
             if not any(d in descents and w[d - 1] <= hj for d in range(i + 1, j)):
                 return False
-        return small or w[j - 2] <= hj
+        # (j-1, j) is always possible: unless it is this hook, w_{j-1} lies in
+        # w[i:j-1], which the first check bounded by hj.
+        return True
 
     def visit(i: int) -> None:
         if i > m:
@@ -262,12 +266,13 @@ def count_preimages(w: Word, variant: SortVariant, limit: int | None = None) -> 
     the right subtree w[k:j-1], so C[i][j] = sum_k C[i][k] * C[k][j-1] over
     the k whose nonempty subtree roots (their last letters) are at most the
     root, strictly on the left for the fast operator (class R) and on the
-    right for the slow one (class L).  O(m^3) time with no length cap; a
-    `limit`, when given, refuses longer words.
+    right for the slow one (class L).  O(m^3) time, so a word longer than
+    MAX_DP_LEN, or than `limit` when given, is refused.
     """
     m = len(w)
-    if limit is not None and m > limit:
-        raise SizeLimitError(f"word length {m} exceeds limit {limit}")
+    cap = MAX_DP_LEN if limit is None else min(limit, MAX_DP_LEN)
+    if m > cap:
+        raise SizeLimitError(f"word length {m} exceeds limit {cap}")
     if m == 0:
         return 1
     if w[-1] != max(w):

@@ -19,7 +19,7 @@ of one content, walking each word on their paths once.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import groupby
+from itertools import accumulate, groupby
 from typing import Callable, Iterable
 
 from .words import (
@@ -28,6 +28,7 @@ from .words import (
     InvariantError,
     Word,
     content,
+    identity,
 )
 
 
@@ -113,13 +114,6 @@ def sort_permutation(p: Word) -> Word:
     return sort_via_stack(p, SortVariant.FAST)
 
 
-def _prefix_sums(c: ContentVector) -> list[int]:
-    sums = [0]
-    for k in c:
-        sums.append(sums[-1] + k)
-    return sums
-
-
 def standardize_ascending(w: Word) -> Word:
     """Replace the copies of each letter i by distinct values, ascending.
 
@@ -134,26 +128,18 @@ def standardize_ascending(w: Word) -> Word:
     West's map pops it before x goes on, as the slow pass pops an equal top;
     the two stack machines make the same moves, and copies leave in order.
     """
-    return _standardize(w, ascending=True)
+    last = [0, *accumulate(content(w))]  # last[i-1]: the value the latest copy of i took
+    out = []
+    for x in w:
+        last[x - 1] += 1
+        out.append(last[x - 1])
+    return tuple(out)
 
 
 def standardize_descending(w: Word) -> Word:
-    """Like `standardize_ascending` but the copies of i appear in descending order."""
-    return _standardize(w, ascending=False)
-
-
-def _standardize(w: Word, ascending: bool) -> Word:
-    c = content(w)
-    sums = _prefix_sums(c)
-    seen = [0] * len(c)
-    out = []
-    for x in w:
-        seen[x - 1] += 1
-        if ascending:
-            out.append(sums[x - 1] + seen[x - 1])
-        else:
-            out.append(sums[x] - seen[x - 1] + 1)
-    return tuple(out)
+    """Like `standardize_ascending`, but the copies of i descend, the last one
+    the smallest: the ascending map on the reversed word, read backwards."""
+    return standardize_ascending(w[::-1])[::-1]
 
 
 def collapse_letters(c: ContentVector, p: Word) -> Word:
@@ -165,13 +151,8 @@ def collapse_letters(c: ContentVector, p: Word) -> Word:
     total = sum(c)
     if sorted(p) != list(range(1, total + 1)):
         raise DomainError(f"expected a permutation of 1..{total}, got {p}")
-    letter_of = [0] * (total + 1)
-    value = 1
-    for i, k in enumerate(c, start=1):
-        for _ in range(k):
-            letter_of[value] = i
-            value += 1
-    return tuple(letter_of[x] for x in p)
+    letters = identity(c)
+    return tuple(letters[x - 1] for x in p)
 
 
 def distance_bound(c: ContentVector, variant: SortVariant) -> int:
@@ -230,11 +211,8 @@ def worst_case_word(c: ContentVector) -> Word:
     """
     if not c or any(k < 1 for k in c):
         raise DomainError("worst-case word needs a content vector with all entries >= 1")
-    out: list[int] = []
-    for i, k in enumerate(c[1:], start=2):
-        out.extend([i] * k)
-    out.extend([1] * c[0])
-    return tuple(out)
+    word = identity(c)
+    return word[c[0]:] + word[:c[0]]
 
 
 def exceptional_family(n: int) -> Word:

@@ -31,6 +31,8 @@ MAX_SCAN_LEN = 10  # longest length of an exhaustive pass over normalized words
 MAX_SPACE = 2_000_000  # largest content class the brute-force passes exhaust
 MAX_VHC_LEN = 12  # longest word whose hook configurations or preimages are listed
 MAX_TREE_DEPTH = 5_000  # deepest level `generating_tree_level_counts` reaches
+MAX_DP_LEN = 400  # longest word whose preimages `count_preimages` counts
+MAX_UNIFORM_LEN = 100_000  # longest uniform word (ell * n letters) `fuss_catalan` counts
 
 _INF = float("inf")
 

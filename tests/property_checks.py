@@ -1,15 +1,18 @@
 """Quantified property checks shared by the property suite and the acceptance gate.
 
 Each checker takes one word and asserts a batch of structural invariants over
-everything enumerable from it; callers quantify over exhaustive corpora.
+everything enumerable from it; callers quantify over exhaustive corpora.  The
+README's census table is read here too, for the census tests of both modules.
 """
 
 from itertools import combinations
+from pathlib import Path
 
 from stacksort import (
     SortVariant,
     VhcFilter,
     color_classes,
+    contains_pattern,
     content,
     descent_tops,
     enumerate_vhc,
@@ -17,6 +20,7 @@ from stacksort import (
     is_valid_config,
     sort_via_stack,
 )
+from stacksort.experiments import ratio_text
 
 
 def check_vhc_conditions(w) -> int:
@@ -83,3 +87,30 @@ def contains_by_definition(w, p):
     """Pattern containment by the definition: some choice of len(p) positions
     of w is ordered exactly as p."""
     return any(order_type(sub) == order_type(p) for sub in combinations(w, len(p)))
+
+
+CENSUS_COLUMNS = ["length", "normalized words", "exceptional", "ratio", "gap 2",
+                  "break `fast <= 2*slow - 2`", "contain no length-7 exceptional word",
+                  "census time"]
+
+
+def readme_census_rows():
+    """The README's "Census figures" table: its count cells by length, the
+    last column (a time) left out."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = text.split("## Census figures", 1)[1].split("\n## ", 1)[0].splitlines()
+    table = [[cell.strip() for cell in line.strip("| ").split("|")]
+             for line in lines if line.startswith("|")]
+    assert table[0] == CENSUS_COLUMNS, table[0]
+    return {int(row[0]): row[1:-1] for row in table[2:]}
+
+
+def census_row(result, e7):
+    """A census's count cells as that table prints them; e7 holds the
+    exceptional words of length 7."""
+    exceptional = result.exceptional
+    return [f"{result.total:,}", f"{len(exceptional):,}",
+            ratio_text(len(exceptional), result.total),
+            f"{result.gap_histogram.get(2, 0):,}",
+            f"{sum(1 for _, df, ds in exceptional if df > 2 * ds - 2):,}",
+            f"{sum(1 for w, _, _ in exceptional if not any(contains_pattern(w, p) for p in e7)):,}"]

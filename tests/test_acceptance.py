@@ -14,10 +14,12 @@ from math import comb
 import pytest
 
 from property_checks import (
+    census_row,
     check_coloring_properties,
     check_content_preservation,
     check_vhc_conditions,
     contains_by_definition,
+    readme_census_rows,
 )
 from stacksort import (
     SortVariant,
@@ -171,6 +173,15 @@ def test_census_lengths_eight_and_nine_are_pinned(census):
                 if not any(contains_pattern(w, p) for p in e7)}
     assert len(avoiders) == 34
     assert {"773824561", "773825461", "773842561"} <= avoiders
+
+
+def test_readme_census_table_matches_the_census(census):
+    # every count cell at lengths 7-9; length 10 is checked by the opt-in test
+    rows = readme_census_rows()
+    assert sorted(rows) == [7, 8, 9, 10]
+    e7 = [w for w, _, _ in census(7).exceptional]
+    for m in (7, 8, 9):
+        assert rows[m] == census_row(census(m), e7), m
 
 
 @criterion(4, "worst-case families meet the distance bounds; bounds hold everywhere, sum <= 8")

@@ -12,7 +12,7 @@ import pytest
 
 import stacksort
 from stacksort import (catalan, counting, experiments, hooks, parse_word, sort_via_stack,
-                       sorting)
+                       sorting, words)
 from stacksort.cli import main
 
 
@@ -126,7 +126,7 @@ def test_preimages_methods_agree(capsys):
     assert counts == {"dp": 7, "vhc": 7, "brute": 7, "trees": 7}
 
 
-def test_preimages_dp_default_has_no_length_cap(capsys):
+def test_preimages_dp_default_has_its_own_length_cap(capsys):
     word = " ".join(str(k) for k in range(1, 21))
     code, out, _ = run(capsys, "preimages", word, "--map", "slow")
     assert code == 0 and int(out) == catalan(20)
@@ -307,6 +307,35 @@ def test_size_limit_exit_code(capsys):
     assert code == 2 and "exceeds" in err
 
 
+TOO_LONG_FOR_THE_DP = " ".join(str(k) for k in range(1, words.MAX_DP_LEN + 2))
+
+
+@pytest.mark.parametrize("argv, code, reason", [
+    (["gentree", "--rule", "1:x", "--axiom", "1", "--depth", "3"], 1, "cannot parse rule"),
+    (["gentree", "--rule", "1:2", "--depth", "3"], 1, "needs --axiom"),
+    (["gentree", "--rule", "catalan-power", "--ell", "0", "--depth", "3"], 1, "ell must be"),
+    (["distance", "1,a"], 1, "cannot parse word"),
+    (["fertility-demo", "--m", "0"], 1, "m must be"),
+    (["uniform", "--ell", "3", "--n", "5", "--check"], 2, "exceeds limit 2000000"),
+    (["uniform", "--ell", "1", "--n", "10000000"], 2, "exceeds limit"),
+    (["count-sortable", "--map", "fast", "10000000", "1"], 2, "exceeds limit"),
+    (["count-sortable", "--map", "slow", "10000000", "1"], 2, "exceeds limit"),
+    (["preimages", TOO_LONG_FOR_THE_DP, "--map", "slow"], 2, "exceeds limit"),
+], ids=lambda v: " ".join(v)[:40] if isinstance(v, list) else None)
+def test_refused_input_prints_one_error_line(capsys, argv, code, reason):
+    got, out, err = run(capsys, *argv)
+    assert got == code and out == ""
+    assert err.startswith("error:") and reason in err and err.count("\n") == 1
+
+
+def test_exceptional_list_marks_a_truncated_witness_list(monkeypatch, capsys):
+    monkeypatch.setattr(experiments, "WITNESS_CAP", 3)
+    code, out, _ = run(capsys, "exceptional", "--max-len", "7", "--list")
+    assert code == 0
+    assert out.splitlines()[-5:] == ["m=7 normalized=47293 exceptional=4 ratio=0.000085",
+                                     "  3662451", "  3664251", "  6362451", "  ... (truncated)"]
+
+
 @pytest.mark.parametrize("command", ["exceptional", "conjectures"])
 def test_scan_past_length_limit_is_refused_before_any_census(monkeypatch, capsys, command):
     censuses = []
@@ -360,7 +389,8 @@ def test_cache_roundtrip(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text", ['{"fast": {"2,2": ', "[1, 2]", '{"slow": {"2,2": "x"}}',
-                                  '{"fast": []}'])
+                                  '{"fast": []}', '{"fast": {"2,-1": "2"}}',
+                                  '{"slow": {"2,2": "-3"}}', '{"fast": {"1,10000000": "2"}}'])
 def test_corrupt_cache_is_refused(tmp_path, capsys, text):
     cache = tmp_path / "memo.json"
     cache.write_text(text, encoding="utf-8")

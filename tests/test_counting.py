@@ -8,6 +8,7 @@ from stacksort import (
     DomainError,
     FIBONACCI_TREE,
     GenTreeSpec,
+    SizeLimitError,
     SortVariant,
     brute_count_avoiders,
     catalan,
@@ -25,6 +26,7 @@ from stacksort import (
     word_space_size,
 )
 from stacksort import counting
+from stacksort.words import MAX_TREE_DEPTH, MAX_UNIFORM_LEN
 
 P231 = (2, 3, 1)
 P221 = (2, 2, 1)
@@ -126,6 +128,12 @@ def test_fuss_catalan_values():
     assert fuss_catalan(2, 4) == 55
     with pytest.raises(DomainError):
         fuss_catalan(0, 3)
+    # bounded by the words' length ell * n, not by n alone
+    assert fuss_catalan(MAX_UNIFORM_LEN, 1) == 1
+    for ell, n in ((1, MAX_UNIFORM_LEN + 1), (MAX_UNIFORM_LEN + 1, 1),
+                   (3, MAX_UNIFORM_LEN // 3 + 1)):
+        with pytest.raises(SizeLimitError):
+            fuss_catalan(ell, n)
 
 
 def test_uniform_words_everything_agrees():
@@ -374,6 +382,33 @@ def test_memos_hold_only_the_keys_asked_for(c):
     stripped = tuple(k for k in c if k)
     assert counting._fast_memo == {tuple(sorted(stripped)): fast_n}
     assert counting._slow_memo == {stripped[:-1]: slow_n}
+    counting.clear_memo()
+
+
+def test_walks_past_the_tree_depth_are_refused(tmp_path, monkeypatch):
+    # a walk keeps a label list as long as its key's sum; keys that are never
+    # walked (one fast entry, no slow entry) stay allowed
+    counting.clear_memo()
+    deep = MAX_TREE_DEPTH + 1
+    for count in (count_fast_sortable, count_slow_sortable):
+        with pytest.raises(SizeLimitError):
+            count((deep, 1))
+    assert count_fast_sortable((deep,)) == count_slow_sortable((deep,)) == 1
+    assert count_slow_sortable((1, deep)) == 2
+    # a cache entry past the bound is a bad entry, and nothing is merged
+    before = dict(counting._fast_memo), dict(counting._slow_memo)
+    path = tmp_path / "memo.json"
+    for name, good in (("fast", "6"), ("slow", "3")):  # the counts of (2, 2)
+        path.write_text(json.dumps({name: {"2,2": good, f"{deep},2": "1"}}), encoding="utf-8")
+        with pytest.raises(ValueError, match="exceeds limit"):
+            counting.load_memo(str(path))
+        assert (counting._fast_memo, counting._slow_memo) == before
+    # the bound is checked when a key is walked, never on a memo hit
+    assert count_fast_sortable((2, 2)) == 6
+    monkeypatch.setattr(counting, "MAX_TREE_DEPTH", 3)
+    assert count_fast_sortable((2, 2)) == 6
+    with pytest.raises(SizeLimitError):
+        count_slow_sortable((2, 2, 2))
     counting.clear_memo()
 
 

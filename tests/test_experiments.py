@@ -8,6 +8,7 @@ from math import factorial
 from pathlib import Path
 
 import pytest
+from property_checks import census_row, readme_census_rows
 
 from stacksort import (
     DomainError,
@@ -144,6 +145,21 @@ def test_slow_memo_shares_distances_across_classes(monkeypatch):
             assert got == {bytes(w): distance(w, SLOW) for w in words}, c
         assert len(experiments._slow_memo) == factorial(m)
         assert hits == normalized_count(m) - factorial(m)
+
+
+def test_slow_memo_keys_are_ascending_standardizations(monkeypatch):
+    # `_slow_distances` builds its `bytes` keys on its own, for speed; they
+    # must be the library's ascending standardization, shifted by 128
+    images_seen = 0
+    for m in range(1, 9):
+        for c in positive_compositions(m):
+            images = {s for _, s in image_pair_counts(c)}
+            monkeypatch.setattr(experiments, "_slow_memo", {})
+            experiments._slow_distances(c, map(bytes, images))
+            assert set(experiments._slow_memo) == {
+                bytes(v + 128 for v in standardize_ascending(s)) for s in images}, c
+            images_seen += len(images)
+    assert images_seen == 48995
 
 
 BOUND_CHECK = """
@@ -427,6 +443,7 @@ def test_length_ten_census():
     lines = "".join(f"{format_word(w)} {df} {ds}\n" for w, df, ds in census.exceptional)
     assert hashlib.sha256(lines.encode()).hexdigest() == (
         "48019293f300ea4b7d93e1f2e0ca2c0170d2e08a8c926cccffb25703492e5448")
+    assert readme_census_rows()[10] == census_row(census, e7)  # the README's row
 
 
 def test_traced_workloads_read_every_assigned_layer(monkeypatch, tmp_path):

@@ -31,6 +31,7 @@ from stacksort import (
 )
 from stacksort.cli import main
 from stacksort.hooks import _shape_parents, filter_for
+from stacksort.words import MAX_DP_LEN
 
 FAST, SLOW = SortVariant.FAST, SortVariant.SLOW
 
@@ -318,6 +319,12 @@ def test_count_limits():
         count_preimages(w, SLOW, limit=12)
     with pytest.raises(SizeLimitError):
         count_preimages_vhc(w, SLOW)
+    # the O(m^3) DP has its own cap, which a larger `limit` does not lift
+    longest = tuple(range(1, MAX_DP_LEN + 1))
+    for limit in (None, MAX_DP_LEN + 1):
+        with pytest.raises(SizeLimitError):
+            count_preimages(longest + (MAX_DP_LEN + 1,), FAST, limit=limit)
+    assert count_preimages(longest[::-1], FAST) == 0  # the longest word allowed
 
 
 def _shapes(n):

@@ -144,6 +144,8 @@ def test_collapse_examples():
         collapse_letters((2, 2), (1, 2, 3))
     with pytest.raises(DomainError):
         collapse_letters((2, 1), (1, 1, 2))
+    with pytest.raises(DomainError):  # the sum matches, but the content has a negative entry
+        collapse_letters((2, -1), (1,))
 
 
 def test_collapse_inverts_standardization(normalized):

@@ -50,6 +50,8 @@ def test_identity_examples():
     assert identity((1, 3)) == parse_word("1222")
     # zeros leave gaps
     assert identity((0, 2, 1)) == (2, 2, 3)
+    with pytest.raises(DomainError):
+        identity((1, -1))
 
 
 def test_is_normalized():
