@@ -59,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sort", help="apply an operator, optionally tracing the chain")
     _add_word(p)
     p.add_argument("--map", choices=("fast", "slow"), required=True)
-    p.add_argument("--steps", type=_int_at_least(0), default=1)
+    p.add_argument("--steps", type=_int_at_least(0), default=1,
+                   help=f"passes; more than one needs at most {words.MAX_WALK_LEN} letters")
     p.add_argument("--trace", action="store_true")
 
     p = sub.add_parser("distance", help="iterations to reach the identity, both operators")
@@ -118,6 +119,9 @@ def _cmd_sort(args):
 
     w = words.parse_word(args.word)
     variant = sorting.SortVariant(args.map)
+    if args.steps > 1 and len(w) > words.MAX_WALK_LEN:  # up to len(w) passes of len(w) letters
+        raise words.SizeLimitError(f"word length {len(w)} exceeds limit {words.MAX_WALK_LEN} "
+                                   "for more than one pass")
     target = tuple(sorted(w))  # the identity word, a fixed point of both operators
     walked = [w]
     while len(walked) <= args.steps and walked[-1] != target:

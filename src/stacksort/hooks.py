@@ -32,7 +32,8 @@ one with the trees of the operator's class whose postorder is w), for words
 of up to MAX_DP_LEN letters.  The configuration sum stays as
 `count_preimages_vhc`, the theorem the acceptance gate checks the DP against;
 listing (`in_order_preimages`) still runs through the configurations and
-`build_preimage_trees`.
+`build_preimage_trees`, which plans each configuration once and then builds
+each of its trees in one pass over the positions.
 
 Enumeration is depth-first over the indices: each index i starts no hook or
 one hook (i, j).  Its only state is the hooks: `into[j]` lists the southwest
@@ -47,7 +48,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import lru_cache
 from itertools import product
-from math import comb
+from math import comb, prod
 from operator import mul
 from typing import Iterator
 
@@ -98,10 +99,7 @@ def catalan(n: int) -> int:
 
 
 def catalan_product(q: Composition) -> int:
-    out = 1
-    for part in q:
-        out *= catalan(part)
-    return out
+    return prod(map(catalan, q))
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +117,9 @@ def _enumerate_pairs(w: Word, which: VhcFilter) -> list[HookConfig]:
 
     def allowed(i: int, j: int) -> bool:
         hi, hj, sws = w[i - 1], w[j - 1], into[j]
-        if hj < hi or any(x > hj for x in w[i:j - 1]):
+        if hj < hi or max(w[i:j - 1], default=hj) > hj:
             return False  # a hook may not pass strictly below a point at i < a < j
-        if any(into[a] for a in range(i + 1, j)):
+        if any(into[i + 1:j]):
             return False  # condition 4: a placed hook ends strictly inside (i, j)
         horizontal, small = hi == hj, j == i + 1
         if bounded and len(sws) >= 2:
@@ -355,19 +353,20 @@ def _shape_parents(n: int) -> tuple[tuple[int, ...], ...]:
     Nodes are named by their postorder index t; entry t of a shape's row is
     2 * (parent's postorder index) + side (0 left, 1 right), or -1 at the root.
     A shape on n nodes is a left shape on a nodes (indices 0..a-1), a right
-    shape shifted to a..n-2, and the root n-1 above both subroots.  Rows come
-    by left size a = 0..n-1, then by left shape, then by right shape.
+    shape shifted to a..n-2, and the root n-1 above both subroots.  A shape's
+    root is its last node, so a row is sliced: a left row's last entry points
+    at the root's left slot, and a right row is shifted by 2a, its last entry
+    to the right slot.  Rows come by left size, then left shape, then right.
     """
     if n == 0:
         return ((),)
     root = 2 * (n - 1)
     rows = []
     for a in range(n):
-        lefts = [tuple(root if c < 0 else c for c in row) for row in _shape_parents(a)]
-        rights = [
-            tuple(root + 1 if c < 0 else c + 2 * a for c in row)
-            for row in _shape_parents(n - 1 - a)
-        ]
+        lefts = [row[:-1] + (root,) for row in _shape_parents(a)] if a else [()]
+        b = n - 1 - a
+        shift = (2 * a,) * (b - 1) + (root + 2,)  # the last entry goes -1 -> root + 1
+        rights = [tuple(map(int.__add__, row, shift)) for row in _shape_parents(b)]
         for left in lefts:
             for right in rights:
                 rows.append(left + right + (-1,))
@@ -384,10 +383,14 @@ def build_preimage_trees(
     fills first) and in its left slot otherwise.  Every other point p - 1
     hangs where the spawned tree of p's color class hangs p's class
     predecessor, on the same side; a northeast endpoint is alone in its class,
-    so no class link targets it.  For the slow operator, equal-label right
-    children are finally swung to the left.  Emitted trees have postorder w;
-    their in-order readings, over all configurations of the matching family,
-    are exactly the preimages of w, each exactly once.
+    so no class link targets it.  For the slow operator, an equal-label right
+    child swings to the left.  A plan made once says where each position
+    hangs (a hook's slot, a class link, or the root) and whether it can swing
+    (it needs an earlier equal letter).  Each choice of class shapes is then
+    one pass over positions 1..m: a node is made from the children already
+    dropped in `hold[2p + side]` and dropped in its parent's slot.  Emitted
+    trees have postorder w; their in-order readings, over all configurations
+    of the matching family, are exactly the preimages of w, each exactly once.
     """
     which = filter_for(variant)
     if not is_valid_config(w, config, which):
@@ -398,45 +401,41 @@ def build_preimage_trees(
         heights = [w[p - 1] for p in positions]
         if any(a >= b for a, b in zip(heights, heights[1:])):
             raise InvariantError(f"class heights not increasing: {heights}")
-    # hooked[side][j]: the southwest endpoint hung on j's left (0) or right (1) slot
-    hooked = ([0] * (m + 1), [0] * (m + 1))
+    # Position p hangs in a hook's slot or, starting no hook, where the tree of
+    # class r hangs node t, the class predecessor of p + 1; the root in hold[0].
+    hang: list = [None] * (m - 1) + [0]  # by position - 1
     for i, j in config:
-        side = int(i == j - 1)
-        if hooked[side][j]:
-            raise InvariantError(f"hook slot of {j} already taken")
-        hooked[side][j] = i
-    # Point p - 1, when it starts no hook, hangs where the tree of class r hangs
-    # the class predecessor (index t - 1) of p.
-    sw_ends = {i for i, _ in config}
-    steps = [(p - 1, r, t - 1) for r, positions in enumerate(classes)
-             for t, p in enumerate(positions) if t and p - 1 not in sw_ends]
-    if len(steps) + len(sw_ends) < m - 1:
+        hang[i - 1] = 2 * j + (i == j - 1)
+    for r, positions in enumerate(classes):
+        for t, p in enumerate(positions[1:]):
+            if hang[p - 2] is None:
+                hang[p - 2] = (r, t)
+    if None in hang:
         raise InvariantError("a point starting no hook precedes a color class's first point")
+    # slot_of[r][code]: the slot of class r's node code // 2 on side code % 2;
+    # the class root's code -1 reads the -1 at the end.
+    slot_of = [[2 * ps[c >> 1] + (c & 1) for c in range(2 * len(ps))] + [-1] for ps in classes]
+    slow, seen, plan = variant is SortVariant.SLOW, set(), []
+    for p, (label, link) in enumerate(zip(w, hang), start=1):
+        slot, r, t = (link, 0, 0) if isinstance(link, int) else (None, *link)
+        plan.append((2 * p, label, slow and label in seen, slot, r, t, slot_of[r]))
+        seen.add(label)
 
+    new = tuple.__new__  # a PlaneTree node, without NamedTuple's Python-level __new__
     for rows in product(*(_shape_parents(len(positions)) for positions in classes)):
-        # kids[side][p]: position of p's left (0) or right (1) child, 0 for none
-        kids = (hooked[0].copy(), hooked[1].copy())
-        left, right = kids
-        for pos, r, t in steps:
-            code = rows[r][t]
-            if code < 0:
-                raise InvariantError(f"class-{r} tree gives {w[classes[r][t] - 1]} no parent")
-            parent, side = divmod(code, 2)
-            target = classes[r][parent]
-            if target <= pos:
-                raise InvariantError("attachment target should not be placed yet")
-            if kids[side][target]:
-                raise InvariantError(f"{('left', 'right')[side]} slot already taken")
-            kids[side][target] = pos
-        if variant is SortVariant.SLOW:
-            # Equal-label right children swing to the left (they are only children).
-            for p in range(1, m + 1):
-                if right[p] and w[right[p] - 1] == w[p - 1]:
-                    if left[p]:
-                        raise InvariantError("equal right child should be an only child")
-                    left[p], right[p] = right[p], 0
-        # Children precede their parent in postorder, so build by position.
-        built: list[PlaneTree | None] = [None] * (m + 1)
-        for p in range(1, m + 1):
-            built[p] = PlaneTree(w[p - 1], built[left[p]], built[right[p]])
-        yield built[m]
+        hold: list = [None] * (2 * m + 2)
+        for p2, label, swing, slot, r, t, slots in plan:
+            left, right = hold[p2], hold[p2 + 1]
+            if swing and right is not None and right[0] == label:
+                if left is not None:
+                    raise InvariantError("equal right child should be an only child")
+                left, right = right, None
+            if slot is None:
+                slot = slots[rows[r][t]]
+                if slot <= p2 + 1:  # no parent (code -1), or one placed already
+                    raise InvariantError(f"class-{r} tree gives {w[classes[r][t] - 1]} no parent"
+                                         if slot < 0 else "attachment target should not be placed yet")
+            if hold[slot] is not None:
+                raise InvariantError(f"{('left', 'right')[slot & 1]} slot already taken")
+            hold[slot] = new(PlaneTree, (label, left, right))
+        yield hold[0]

@@ -13,7 +13,9 @@ linear-time stack machine (the production path).  `distance` counts how many
 applications are needed to reach the nondecreasing identity word; it is
 bounded by the number of letters exceeding 1 in the content, and a dedicated
 worst-case word meets the bound.  `distances` does the same for many words
-of one content, walking each word on their paths once.
+of one content, walking each word on their paths once.  A walk costs up to
+one pass of n letters per letter, so words longer than MAX_WALK_LEN are
+refused before the first pass.
 """
 
 from __future__ import annotations
@@ -23,9 +25,11 @@ from itertools import accumulate, groupby
 from typing import Callable, Iterable
 
 from .words import (
+    MAX_WALK_LEN,
     ContentVector,
     DomainError,
     InvariantError,
+    SizeLimitError,
     Word,
     content,
     identity,
@@ -176,11 +180,13 @@ def distances(words: Iterable[Word | bytes], variant: SortVariant) -> list[int]:
     every word on its path is kept, so each new word costs one stack pass.
     Every returned distance is checked against the bound, a theorem; a word
     of another content never reaches a known word, so its walk trips the
-    check.
+    check.  Words longer than MAX_WALK_LEN are refused.
     """
     words = list(words)
     if not words:
         return []
+    if len(words[0]) > MAX_WALK_LEN:
+        raise SizeLimitError(f"word length {len(words[0])} exceeds limit {MAX_WALK_LEN}")
     target = sorted(words[0])  # the identity word of the content, in the words' type
     target = bytes(target) if isinstance(words[0], bytes) else tuple(target)
     # Both operators only compare letters, so the bound of the distinct

@@ -33,6 +33,7 @@ MAX_VHC_LEN = 12  # longest word whose hook configurations or preimages are list
 MAX_TREE_DEPTH = 5_000  # deepest level `generating_tree_level_counts` reaches
 MAX_DP_LEN = 400  # longest word whose preimages `count_preimages` counts
 MAX_UNIFORM_LEN = 100_000  # longest uniform word (ell * n letters) `fuss_catalan` counts
+MAX_WALK_LEN = 1_500  # longest word walked pass after pass to its identity word
 
 _INF = float("inf")
 

@@ -68,6 +68,13 @@ def test_sort_spaced_word_with_large_letters(capsys):
     assert code == 0 and out.strip() == "1 2 3 4 5 6 7 8 9 10 10"
 
 
+def test_one_pass_over_a_long_word_is_not_refused(capsys):
+    # only a walk of more than one pass is bounded by the word's length
+    word = " ".join(str(k) for k in [*range(2, words.MAX_WALK_LEN + 2), 1])
+    code, out, _ = run(capsys, "sort", word, "--map", "slow", "--trace")
+    assert code == 0 and out.split("\n")[1].startswith("  =slow=> 2 3 4 ")
+
+
 def test_sort_negative_steps_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sort", "21", "--map", "fast", "--steps", "-3"])
@@ -308,6 +315,7 @@ def test_size_limit_exit_code(capsys):
 
 
 TOO_LONG_FOR_THE_DP = " ".join(str(k) for k in range(1, words.MAX_DP_LEN + 2))
+TOO_LONG_TO_WALK = " ".join(str(k) for k in [*range(2, words.MAX_WALK_LEN + 2), 1])
 
 
 @pytest.mark.parametrize("argv, code, reason", [
@@ -321,6 +329,9 @@ TOO_LONG_FOR_THE_DP = " ".join(str(k) for k in range(1, words.MAX_DP_LEN + 2))
     (["count-sortable", "--map", "fast", "10000000", "1"], 2, "exceeds limit"),
     (["count-sortable", "--map", "slow", "10000000", "1"], 2, "exceeds limit"),
     (["preimages", TOO_LONG_FOR_THE_DP, "--map", "slow"], 2, "exceeds limit"),
+    (["distance", TOO_LONG_TO_WALK], 2, "exceeds limit"),
+    (["sort", TOO_LONG_TO_WALK, "--map", "slow", "--steps", "2"], 2, "exceeds limit"),
+    (["sort", TOO_LONG_TO_WALK, "--map", "fast", "--steps", "100000", "--trace"], 2, "exceeds limit"),
 ], ids=lambda v: " ".join(v)[:40] if isinstance(v, list) else None)
 def test_refused_input_prints_one_error_line(capsys, argv, code, reason):
     got, out, err = run(capsys, *argv)

@@ -1,11 +1,19 @@
 import gc
+import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from functools import lru_cache
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from stacksort import (
     DomainError,
+    InvariantError,
     SizeLimitError,
     SortVariant,
     VhcFilter,
@@ -29,6 +37,7 @@ from stacksort import (
     postorder,
     sort_via_stack,
 )
+from stacksort import hooks
 from stacksort.cli import main
 from stacksort.hooks import _shape_parents, filter_for
 from stacksort.words import MAX_DP_LEN
@@ -252,6 +261,65 @@ def test_preimage_trees_land_in_their_class(normalized):
                         seen.add(tree)
 
 
+def test_builder_output_and_order_are_pinned(normalized):
+    # every tree, in yield order, over the configurations of every normalized
+    # word of length <= 6 in `enumerate_vhc` order, both operators
+    digest, trees = hashlib.sha256(), 0
+    for m in range(7):
+        for w in normalized(m):
+            for variant in SortVariant:
+                for config in enumerate_vhc(w, filter_for(variant)):
+                    for tree in build_preimage_trees(w, config, variant):
+                        digest.update(repr(tree).encode())
+                        trees += 1
+    assert trees == 10634
+    assert digest.hexdigest() == "1e4cacca77e97aca0bd5142f554cc91848f1dbb087dc7f7f05267f9777ca0e06"
+
+
+# Rows for a class of three nodes, each breaking a theorem the builder checks.
+BAD_SHAPE_ROWS = {
+    "a second root": ((-1, 4, -1), "no parent"),
+    "a parent named before its child": ((4, 0, -1), "should not be placed yet"),
+    "two children on one slot": ((4, 4, -1), "left slot already taken"),
+}
+
+
+@pytest.mark.parametrize("row, reason", BAD_SHAPE_ROWS.values(), ids=BAD_SHAPE_ROWS)
+def test_bad_shape_rows_raise(monkeypatch, row, reason):
+    # the word 123 has one configuration, (), whose one class holds all three points
+    monkeypatch.setattr(hooks, "_shape_parents", lambda n: (row,))
+    for variant in SortVariant:
+        with pytest.raises(InvariantError, match=reason):
+            list(build_preimage_trees((1, 2, 3), (), variant))
+
+
+BAD_ROWS_CHECK = """
+    import sys
+    from stacksort import InvariantError, SortVariant, build_preimage_trees, hooks
+    if __debug__:
+        sys.exit("not run under -O")
+    for row, reason in ROWS:
+        hooks._shape_parents = lambda n, row=row: (row,)
+        for variant in SortVariant:
+            try:
+                list(build_preimage_trees((1, 2, 3), (), variant))
+            except InvariantError as exc:
+                if reason not in str(exc):
+                    sys.exit(f"{row} raised {exc}")
+            else:
+                sys.exit(f"{row} built a tree")
+"""
+
+
+def test_bad_shape_rows_raise_under_python_O():
+    # the builder's checks are raises, not asserts, so `python -O` keeps them
+    src = str(Path(hooks.__file__).resolve().parents[1])
+    code = textwrap.dedent(BAD_ROWS_CHECK).replace("ROWS", repr(list(BAD_SHAPE_ROWS.values())))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def _nodes_by_position(tree, m):
     """Each node of a tree on m nodes, keyed by its 1-based postorder position."""
     nodes, todo = {}, [(tree, m)]
@@ -327,12 +395,13 @@ def test_count_limits():
     assert count_preimages(longest[::-1], FAST) == 0  # the longest word allowed
 
 
+@lru_cache(maxsize=None)
 def _shapes(n):
     """Binary tree shapes on n nodes as nested (left, right) pairs, by left size."""
     if n == 0:
-        return [None]
-    return [(left, right) for a in range(n)
-            for left in _shapes(a) for right in _shapes(n - 1 - a)]
+        return (None,)
+    return tuple((left, right) for a in range(n)
+                 for left in _shapes(a) for right in _shapes(n - 1 - a))
 
 
 def _parent_row(shape):
@@ -355,7 +424,7 @@ def _parent_row(shape):
 
 def test_shape_parent_tables_follow_shapes():
     # row t of each table names the parent of postorder node t, shape by shape
-    for n in range(0, 7):
+    for n in range(0, 11):
         shapes = _shapes(n)
         assert len(shapes) == catalan(n)
         assert _shape_parents(n) == tuple(_parent_row(shape) for shape in shapes), n

@@ -10,6 +10,7 @@ import stacksort
 from stacksort import (
     DomainError,
     InvariantError,
+    SizeLimitError,
     SortVariant,
     collapse_letters,
     content,
@@ -36,6 +37,7 @@ from stacksort import (
 )
 from stacksort import sorting
 from stacksort.sorting import distances
+from stacksort.words import MAX_WALK_LEN
 
 FAST, SLOW = SortVariant.FAST, SortVariant.SLOW
 
@@ -236,6 +238,20 @@ def test_bytes_and_tuple_words_sort_alike(normalized):
                     assert type(image) is tuple and type(image_b) is bytes
                     assert tuple(image_b) == image, (w, variant)
                 assert distances(as_bytes, variant) == distances(words, variant), (words[0], variant)
+
+
+def test_walks_past_the_length_bound_are_refused(monkeypatch):
+    # a word of n letters can need n - 1 passes of n letters: refused before the first
+    passes = []
+    monkeypatch.setattr(sorting, "sort_via_stack", lambda w, v: passes.append(w) or tuple(sorted(w)))
+    longest = tuple(range(2, MAX_WALK_LEN + 1)) + (1,)
+    assert distances([longest], SLOW) == [1] and len(passes) == 1
+    for variant in SortVariant:
+        with pytest.raises(SizeLimitError):
+            distance(longest + (1,), variant)
+        with pytest.raises(SizeLimitError):
+            distances([bytes((1,) * (MAX_WALK_LEN + 1))], variant)
+    assert len(passes) == 1
 
 
 def test_distances_refuse_a_mixed_content_batch():
