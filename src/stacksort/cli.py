@@ -4,7 +4,8 @@ Every operation of the library is reachable from here with machine-readable
 output (--format json; count-sortable also speaks csv).  Words are given as
 digit strings when all letters fit in one digit, otherwise space or comma
 separated.  Exit codes: 0 success, 1 domain error, 2 size-limit refusal,
-usage error or unreadable or unwritable cache file.
+usage error or unreadable or unwritable cache file.  Every size limit is a
+fixed `MAX_*` constant of `words`; no option raises one.
 
 Each command returns its JSON payload and its plain text, and `main` alone
 prints one of them: the payload indented by 2 for --format json, else the
@@ -47,11 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--parallel", type=_int_at_least(1), default=1, metavar="N",
                         help="worker processes for the search experiments (default 1, "
                         "at most the number of CPUs)")
-    parser.add_argument("--limit", type=_int_at_least(0), default=words.MAX_VHC_LEN, metavar="LEN",
-                        help="maximum word length for configuration enumeration and "
-                        f"preimage listing (the dp count has its own cap, {words.MAX_DP_LEN})")
-    parser.add_argument("--space-limit", type=_int_at_least(0), default=words.MAX_SPACE,
-                        metavar="SIZE", help="maximum content-class size for brute-force passes")
     parser.add_argument("--cache", metavar="PATH",
                         help="file of sortable counts, each checked on load; purely a warm start")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -119,9 +115,8 @@ def _cmd_sort(args):
 
     w = words.parse_word(args.word)
     variant = sorting.SortVariant(args.map)
-    if args.steps > 1 and len(w) > words.MAX_WALK_LEN:  # up to len(w) passes of len(w) letters
-        raise words.SizeLimitError(f"word length {len(w)} exceeds limit {words.MAX_WALK_LEN} "
-                                   "for more than one pass")
+    if args.steps > 1:  # up to len(w) passes of len(w) letters
+        words.check_limit("word length", len(w), words.MAX_WALK_LEN)
     target = tuple(sorted(w))  # the identity word, a fixed point of both operators
     walked = [w]
     while len(walked) <= args.steps and walked[-1] != target:
@@ -151,14 +146,14 @@ def _cmd_preimages(args):
         if args.method == "dp":
             count = hooks.count_preimages(w, variant)
         else:
-            count = hooks.count_preimages_vhc(w, variant, limit=args.limit)
+            count = hooks.count_preimages_vhc(w, variant)
         if args.list_words:
-            preimage_list = sorted(hooks.in_order_preimages(w, variant, limit=args.limit))
+            preimage_list = sorted(hooks.in_order_preimages(w, variant))
     elif args.method == "brute":
-        preimage_list = list(hooks.brute_preimages(w, variant, space_limit=args.space_limit))
+        preimage_list = list(hooks.brute_preimages(w, variant))
         count = len(preimage_list)
     else:
-        preimage_list = sorted(hooks.in_order_preimages(w, variant, limit=args.limit))
+        preimage_list = sorted(hooks.in_order_preimages(w, variant))
         count = len(preimage_list)
     payload = {"word": words.format_word(w), "map": args.map,
                "method": args.method, "count": count}
@@ -173,7 +168,7 @@ def _cmd_vhc(args):
     from . import hooks
 
     w = words.parse_word(args.word)
-    configs = list(hooks.enumerate_vhc(w, hooks.VhcFilter(args.filter), limit=args.limit))
+    configs = list(hooks.enumerate_vhc(w, hooks.VhcFilter(args.filter)))
     rendered, lines = [], [f"{len(configs)} configuration(s)"]
     for config in configs:
         classes = hooks.color_classes(w, config)  # validates the configuration
@@ -212,9 +207,7 @@ def _cmd_uniform(args):
     payload: dict = {"ell": args.ell, "n": args.n, "count": str(value)}
     text = str(value)
     if args.check:
-        direct = counting.brute_count_avoiders(
-            (args.ell,) * args.n, [(2, 3, 1), (2, 2, 1)], space_limit=args.space_limit
-        )
+        direct = counting.brute_count_avoiders((args.ell,) * args.n, [(2, 3, 1), (2, 2, 1)])
         payload["direct_enumeration"] = str(direct)
         payload["match"] = direct == value
         text += f"\ndirect={direct} match={direct == value}"

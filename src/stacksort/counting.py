@@ -35,6 +35,7 @@ from .words import (
     Pattern,
     SizeLimitError,
     Word,
+    check_limit,
     contains_pattern,
     enumerate_words,
     word_space_size,
@@ -67,7 +68,7 @@ def _fast_walk(c: ContentVector) -> int:
     """
     if len(c) < 2:
         return 1
-    _check_depth(c)
+    check_limit("walk length", sum(c), MAX_TREE_DEPTH)  # the label list grows with it
     ways = [1]
     for k in c:
         grown = [*ways, *[0] * k]
@@ -95,18 +96,11 @@ def count_slow_sortable(c: ContentVector) -> int:
 
 def _slow_walk(c: ContentVector) -> int:
     """The slow count of c + (a,) for any a; `ways` is as in `_fast_walk`."""
-    _check_depth(c)
+    check_limit("walk length", sum(c), MAX_TREE_DEPTH)
     ways = [1]
     for k in c:
         ways = [*accumulate(ways), *[0] * k]
     return sum(accumulate(ways))
-
-
-def _check_depth(c: ContentVector) -> None:
-    """Refuse a walk deeper than MAX_TREE_DEPTH letters: its label list and
-    passes grow with the depth, as `generating_tree_level_counts` levels do."""
-    if sum(c) > MAX_TREE_DEPTH:
-        raise SizeLimitError(f"a walk of {sum(c)} letters exceeds limit {MAX_TREE_DEPTH}")
 
 
 def _memoized(memo: dict, walk: Callable[[ContentVector], int], key: ContentVector) -> int:
@@ -127,8 +121,7 @@ def fuss_catalan(ell: int, n: int) -> int:
     """
     if ell < 1 or n < 0:
         raise DomainError("fuss_catalan needs ell >= 1 and n >= 0")
-    if ell * n > MAX_UNIFORM_LEN:
-        raise SizeLimitError(f"uniform length {ell * n} exceeds limit {MAX_UNIFORM_LEN}")
+    check_limit("uniform length", ell * n, MAX_UNIFORM_LEN)
     numerator = comb((ell + 1) * n, n)
     quotient, remainder = divmod(numerator, ell * n + 1)
     if remainder:
@@ -179,8 +172,7 @@ def generating_tree_level_counts(spec: GenTreeSpec, depth: int) -> list[int]:
     """
     if depth < 1:
         raise DomainError("depth must be >= 1")
-    if depth > MAX_TREE_DEPTH:
-        raise SizeLimitError(f"depth {depth} exceeds limit {MAX_TREE_DEPTH}")
+    check_limit("depth", depth, MAX_TREE_DEPTH)
     level: dict[int, int] = {spec.axiom: 1}
     sizes = [1]
     steps = 0
@@ -189,8 +181,7 @@ def generating_tree_level_counts(spec: GenTreeSpec, depth: int) -> list[int]:
         for label, count in level.items():
             children = spec.children(label)
             steps += len(children)
-            if steps > MAX_SPACE:
-                raise SizeLimitError(f"more than {MAX_SPACE} (label, child) steps")
+            check_limit("(label, child) steps", steps, MAX_SPACE)
             for child in children:
                 nxt[child] = nxt.get(child, 0) + count
         level = nxt
@@ -198,9 +189,7 @@ def generating_tree_level_counts(spec: GenTreeSpec, depth: int) -> list[int]:
     return sizes
 
 
-def brute_count_avoiders(
-    c: ContentVector, patterns: Sequence[Pattern], space_limit: int = MAX_SPACE
-) -> int:
+def brute_count_avoiders(c: ContentVector, patterns: Sequence[Pattern]) -> int:
     """Count the words in W_c avoiding every given pattern, by exhaustion with prefix skipping.
 
     If w has an occurrence of a pattern ending at e, so does every later word
@@ -210,11 +199,10 @@ def brute_count_avoiders(
     w[:e-1], and still counts exactly the avoiders.  Each pattern is scanned
     once, a later one only in w[:e-1] for the end e found so far: that
     prefix holds every occurrence ending before e, so the skip is never
-    later than the smallest end `contains_pattern` reports on w.
+    later than the smallest end `contains_pattern` reports on w.  A class of
+    more than MAX_SPACE words is refused.
     """
-    size = word_space_size(c)
-    if size > space_limit:
-        raise SizeLimitError(f"|W_c| = {size} exceeds limit {space_limit}")
+    check_limit("|W_c| =", word_space_size(c), MAX_SPACE)
 
     def reject(w: Word) -> int:
         end = 0

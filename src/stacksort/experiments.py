@@ -48,13 +48,14 @@ from .sorting import (
     sort_via_stack,
 )
 from .words import (
+    MAX_ENUM_SUM,
     MAX_SCAN_LEN,  # re-exported: the length bound of every scan here
     MAX_VHC_LEN,
     ContentVector,
     DomainError,
     InvariantError,
-    SizeLimitError,
     Word,
+    check_limit,
     check_scan_length,
     content,
     enumerate_words,
@@ -64,7 +65,6 @@ from .words import (
 
 WITNESS_CAP = 1000
 FERTILITY_BRUTE_MAX = 4  # fertility_demo runs brute force for m up to this
-MAX_ENUM_SUM = 12  # largest word length whose class `image_pair_counts` takes on
 
 
 class CensusResult(NamedTuple):
@@ -97,8 +97,7 @@ def image_pair_counts(c: ContentVector) -> dict[tuple[Word, Word], int]:
     c = _strip_zeros(tuple(c))
     if any(k < 0 for k in c):
         raise DomainError("content entries must be nonnegative")
-    if sum(c) > MAX_ENUM_SUM:
-        raise SizeLimitError(f"word length {sum(c)} exceeds limit {MAX_ENUM_SUM}")
+    check_limit("word length", sum(c), MAX_ENUM_SUM)
     return {(tuple(f), tuple(s)): x for (f, s), x in _pair_counts(c, {}).items()}
 
 
@@ -408,9 +407,8 @@ def fertility_demo(m: int) -> dict:
     2m+1, under both operators.  Brute force runs only for m <= FERTILITY_BRUTE_MAX.
     A witness longer than MAX_VHC_LEN is refused before either is built.
     """
-    too_long = [n for n in (2 * m, 2 * m + 1) if n > MAX_VHC_LEN]  # the witnesses' lengths
-    if too_long:
-        raise SizeLimitError(f"word length {too_long[0]} exceeds limit {MAX_VHC_LEN}")
+    for n in (2 * m, 2 * m + 1):  # the witnesses' lengths
+        check_limit("word length", n, MAX_VHC_LEN)
     from .hooks import brute_preimages, count_preimages_vhc, in_order_preimages
 
     start = time.perf_counter()

@@ -57,11 +57,11 @@ from .trees import PlaneTree, in_order
 from .words import (
     MAX_DP_LEN,
     MAX_SPACE,
-    MAX_VHC_LEN,  # re-exported: the default listing bound here
+    MAX_VHC_LEN,
     DomainError,
     InvariantError,
-    SizeLimitError,
     Word,
+    check_limit,
     content,
     enumerate_words,
     word_space_size,
@@ -167,10 +167,10 @@ def enumerate_vhc(
 
     Canonical order: lexicographic in the (i, j) pairs.  Nothing streams: the
     depth-first search collects every configuration and sorts them before the
-    first is yielded, so memory grows with their number.
+    first is yielded, so memory grows with their number, and a word longer
+    than `limit` is refused.  Only `in_order_preimages` passes a `limit`.
     """
-    if len(w) > limit:
-        raise SizeLimitError(f"word length {len(w)} exceeds limit {limit}")
+    check_limit("word length", len(w), limit)
     yield from sorted(_enumerate_pairs(w, which))
 
 
@@ -268,9 +268,7 @@ def count_preimages(w: Word, variant: SortVariant, limit: int | None = None) -> 
     MAX_DP_LEN, or than `limit` when given, is refused.
     """
     m = len(w)
-    cap = MAX_DP_LEN if limit is None else min(limit, MAX_DP_LEN)
-    if m > cap:
-        raise SizeLimitError(f"word length {m} exceeds limit {cap}")
+    check_limit("word length", m, MAX_DP_LEN if limit is None else min(limit, MAX_DP_LEN))
     if m == 0:
         return 1
     if w[-1] != max(w):
@@ -300,33 +298,31 @@ def count_preimages(w: Word, variant: SortVariant, limit: int | None = None) -> 
     return table[0][m]
 
 
-def count_preimages_vhc(w: Word, variant: SortVariant, limit: int = MAX_VHC_LEN) -> int:
+def count_preimages_vhc(w: Word, variant: SortVariant) -> int:
     """Number of words u with sort(u) = w, via the hook-configuration sum.
 
     The paper's theorem, exponential in the length: kept as the reference
     that the acceptance gate checks `count_preimages` against.
     """
     total = 0
-    for config in enumerate_vhc(w, filter_for(variant), limit):
+    for config in enumerate_vhc(w, filter_for(variant)):
         q = tuple(len(ps) for ps in _class_positions(w, config))
         total += catalan_product(q)
     return total
 
 
-def brute_preimages(
-    w: Word, variant: SortVariant, space_limit: int = MAX_SPACE
-) -> tuple[Word, ...]:
+def brute_preimages(w: Word, variant: SortVariant) -> tuple[Word, ...]:
     """All preimages of w by exhausting its content class, in lexicographic order.
 
     Both operators only compare letters, so the class is walked over w's
-    letters relabelled 1..d in order, and its preimages are mapped back.
+    letters relabelled 1..d in order, and its preimages are mapped back.  A
+    class of more than MAX_SPACE words is refused.
     """
     letters = sorted(set(w))
     rank = {x: i for i, x in enumerate(letters, start=1)}
     r = tuple(rank[x] for x in w)
     c = content(r)
-    if word_space_size(c) > space_limit:
-        raise SizeLimitError(f"|W_c| = {word_space_size(c)} exceeds limit {space_limit}")
+    check_limit("|W_c| =", word_space_size(c), MAX_SPACE)
     preimages = (u for u in enumerate_words(c) if sort_via_stack(u, variant) == r)
     return tuple(tuple(letters[x - 1] for x in u) for u in preimages)
 
@@ -337,7 +333,9 @@ def in_order_preimages(
     """All preimages of w, read off the reconstructed trees (no brute force).
 
     Distinct configurations, and distinct class trees within one, give
-    distinct trees, so the list has no duplicates.
+    distinct trees, so the list has no duplicates.  A word longer than
+    `limit` is refused.  Only `perfbench/make_reference.py` raises it past
+    MAX_VHC_LEN, to list the preimages of its 13-letter words.
     """
     return [
         in_order(tree)

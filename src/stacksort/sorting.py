@@ -29,8 +29,8 @@ from .words import (
     ContentVector,
     DomainError,
     InvariantError,
-    SizeLimitError,
     Word,
+    check_limit,
     content,
     identity,
 )
@@ -185,8 +185,7 @@ def distances(words: Iterable[Word | bytes], variant: SortVariant) -> list[int]:
     words = list(words)
     if not words:
         return []
-    if len(words[0]) > MAX_WALK_LEN:
-        raise SizeLimitError(f"word length {len(words[0])} exceeds limit {MAX_WALK_LEN}")
+    check_limit("word length", len(words[0]), MAX_WALK_LEN)
     target = sorted(words[0])  # the identity word of the content, in the words' type
     target = bytes(target) if isinstance(words[0], bytes) else tuple(target)
     # Both operators only compare letters, so the bound of the distinct

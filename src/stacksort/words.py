@@ -10,10 +10,11 @@ compared, and shared freely.
 Exhaustive enumerators (`enumerate_words`, `enumerate_normalized`) are the
 oracle substrate for the rest of the package.  `enumerate_words` has no size
 cap of its own: each caller bounds its work where it knows how much is
-coming.  The brute-force passes refuse a class of more than `space_limit`
-words (default `MAX_SPACE`), and every exhaustive pass over the normalized
-words of one length, `enumerate_normalized` and the censuses alike, refuses a
-length above `MAX_SCAN_LEN` (`check_scan_length`).
+coming.  Every cap is a `MAX_*` constant below, and every refusal goes
+through `check_limit`: the brute-force passes refuse a class of more than
+`MAX_SPACE` words, and every exhaustive pass over the normalized words of one
+length, `enumerate_normalized` and the censuses alike, a length above
+`MAX_SCAN_LEN` (`check_scan_length`).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ MAX_TREE_DEPTH = 5_000  # deepest level `generating_tree_level_counts` reaches
 MAX_DP_LEN = 400  # longest word whose preimages `count_preimages` counts
 MAX_UNIFORM_LEN = 100_000  # longest uniform word (ell * n letters) `fuss_catalan` counts
 MAX_WALK_LEN = 1_500  # longest word walked pass after pass to its identity word
+MAX_ENUM_SUM = 12  # largest word length whose class `image_pair_counts` takes on
 
 _INF = float("inf")
 
@@ -45,7 +47,13 @@ class DomainError(ValueError):
 
 
 class SizeLimitError(RuntimeError):
-    """Requested search space exceeds the configured size limit."""
+    """Requested search space exceeds one of the package's size caps."""
+
+
+def check_limit(what: str, size: int, cap: int) -> None:
+    """Refuse a size above its cap: SizeLimitError "<what> <size> exceeds limit <cap>"."""
+    if size > cap:
+        raise SizeLimitError(f"{what} {size} exceeds limit {cap}")
 
 
 class InvariantError(AssertionError):
@@ -285,8 +293,7 @@ def check_scan_length(m: int) -> None:
     over 1..m call it first."""
     if m < 0:
         raise DomainError(f"length must be nonnegative, got {m}")
-    if m > MAX_SCAN_LEN:
-        raise SizeLimitError(f"length {m} exceeds limit {MAX_SCAN_LEN}")
+    check_limit("length", m, MAX_SCAN_LEN)
 
 
 def enumerate_normalized(m: int) -> Iterator[Word]:

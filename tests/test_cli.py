@@ -1,5 +1,6 @@
 import ast
 import doctest
+import inspect
 import json
 import os
 import shlex
@@ -82,17 +83,15 @@ def test_sort_negative_steps_is_usage_error(capsys):
     assert "--steps" in capsys.readouterr().err
 
 
-def test_negative_limits_are_usage_errors(capsys):
-    for flag in ("--limit", "--space-limit"):
+def test_cap_flags_are_usage_errors(capsys):
+    # every size cap is a fixed constant: no option lifts or lowers one
+    for argv in (["--limit", "13", "preimages", "1 2 3", "--map", "slow", "--list"],
+                 ["--space-limit", "5", "preimages", "212", "--map", "slow", "--method", "brute"]):
         with pytest.raises(SystemExit) as exc:
-            main([flag, "-5", "vhc", "212"])
+            main(argv)
         assert exc.value.code == 2
-        assert f"argument {flag}: must be >= 0, got -5" in capsys.readouterr().err
-    # zero stays a valid bound: it refuses every nonempty word, not the option
-    code, _, err = run(capsys, "--limit", "0", "vhc", "212")
-    assert code == 2 and "word length 3 exceeds limit 0" in err
-    code, out, _ = run(capsys, "--limit", "0", "vhc", "")
-    assert code == 0 and out.startswith("1 configuration(s)")
+        out, err = capsys.readouterr()
+        assert out == "" and "usage: stacksort" in err and "Traceback" not in err
 
 
 def test_parallel_clamped_to_cpu_count(monkeypatch, capsys, fake_pools):
@@ -137,7 +136,7 @@ def test_preimages_dp_default_has_its_own_length_cap(capsys):
     word = " ".join(str(k) for k in range(1, 21))
     code, out, _ = run(capsys, "preimages", word, "--map", "slow")
     assert code == 0 and int(out) == catalan(20)
-    # --limit bounds configuration enumeration and listing only
+    # MAX_VHC_LEN bounds configuration enumeration and listing only
     code, _, err = run(capsys, "preimages", word, "--map", "slow", "--method", "vhc")
     assert code == 2 and "exceeds" in err
     code, _, err = run(capsys, "preimages", word, "--map", "slow", "--list")
@@ -598,3 +597,25 @@ def test_public_api_resolves_to_the_defining_modules(monkeypatch):
     assert stacksort.catalan is len
     with pytest.raises(AttributeError):
         stacksort.no_such_name
+
+
+def test_only_the_benchmarked_functions_take_a_limit():
+    # every other size cap is a fixed constant in `words`; perfbench passes
+    # these (`enumerate_vhc` carries the listing's)
+    functions = [getattr(stacksort, name) for name in stacksort.__all__]
+    takers = sorted(f.__name__ for f in functions if inspect.isfunction(f)
+                    and {"limit", "space_limit"} & set(inspect.signature(f).parameters))
+    assert takers == ["count_preimages", "enumerate_vhc", "in_order_preimages"]
+
+
+def test_readme_size_caps_table_matches_words():
+    # every cap in `words` has a row, and each row's value is the constant's;
+    # the time column is exempt
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text.split("## Size caps", 1)[1].split("\n## ", 1)[0]
+    rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+            for line in table.splitlines() if line.startswith("| `MAX_")]
+    caps = {name: value for name, value in vars(words).items() if name.startswith("MAX_")}
+    assert len(caps) == 8 and {row[0].strip("`") for row in rows} == set(caps)
+    for row in rows:
+        assert int(row[1].replace(",", "")) == caps[row[0].strip("`")], row

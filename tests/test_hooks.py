@@ -368,15 +368,16 @@ def test_brute_preimages_of_a_word_with_huge_letters():
     for text in ("2 1 100000000", "2 1 3 2000000"):
         w = parse_word(text)
         for variant in (FAST, SLOW):
-            found = brute_preimages(w, variant, space_limit=100)
+            found = brute_preimages(w, variant)
             assert len(found) == count_preimages(w, variant)
             assert list(found) == sorted(set(found))
             assert all(sorted(u) == sorted(w) and sort_via_stack(u, variant) == w for u in found)
 
 
 def test_brute_preimages_limit():
-    with pytest.raises(SizeLimitError):
-        brute_preimages(tuple(range(1, 12)), FAST, space_limit=1000)
+    # 11! words is past MAX_SPACE
+    with pytest.raises(SizeLimitError, match="exceeds limit 2000000"):
+        brute_preimages(tuple(range(1, 12)), FAST)
 
 
 def test_count_limits():
@@ -433,6 +434,18 @@ def test_shape_parent_tables_follow_shapes():
 def test_enumerate_vhc_limit():
     with pytest.raises(SizeLimitError):
         list(enumerate_vhc(tuple(range(1, 14)), VhcFilter.ALL))
+
+
+def test_listing_limit():
+    # perfbench/make_reference.py lists 13-letter words with limit=13
+    w = (2, 1, 4, 3, 6, 5, 8, 7, 10, 9, 12, 11, 13)
+    with pytest.raises(SizeLimitError, match="word length 13 exceeds limit 12"):
+        in_order_preimages(w, SLOW)
+    for variant in (FAST, SLOW):
+        listing = in_order_preimages(w, variant, limit=13)
+        assert len(listing) == count_preimages(w, variant) > 0
+    with pytest.raises(SizeLimitError, match="word length 3 exceeds limit 2"):
+        in_order_preimages((1, 2, 3), SLOW, limit=2)
 
 
 def test_config_to_dict(capsys):
