@@ -344,30 +344,37 @@ def in_order_preimages(
     ]
 
 
+def _recode(size: int, offset: int, root: int) -> bytes:
+    """A `bytes.translate` table: codes c < 2 * size to c + offset, 2 * size to root."""
+    table = bytearray(range(256))
+    table[:2 * size] = range(offset, offset + 2 * size)
+    table[2 * size] = root
+    return bytes(table)
+
+
 @lru_cache(maxsize=None)
-def _shape_parents(n: int) -> tuple[tuple[int, ...], ...]:
+def _shape_parents(n: int) -> tuple[bytes, ...]:
     """Parent links of every binary tree shape on n nodes (Catalan(n) rows).
 
-    Nodes are named by their postorder index t; entry t of a shape's row is
-    2 * (parent's postorder index) + side (0 left, 1 right), or -1 at the root.
+    Nodes are named by their postorder index t; byte t of a shape's row is
+    2 * (parent's postorder index) + side (0 left, 1 right), or 2n at the root.
     A shape on n nodes is a left shape on a nodes (indices 0..a-1), a right
-    shape shifted to a..n-2, and the root n-1 above both subroots.  A shape's
-    root is its last node, so a row is sliced: a left row's last entry points
-    at the root's left slot, and a right row is shifted by 2a, its last entry
-    to the right slot.  Rows come by left size, then left shape, then right.
+    shape shifted to a..n-2, and the root n-1 above both subroots, so a left
+    row is recoded to point its root at the root's left slot, and a right row
+    is shifted by 2a and points its root at the right slot.  Rows come by left
+    size, then left shape, then right.
     """
     if n == 0:
-        return ((),)
-    root = 2 * (n - 1)
+        return (b"",)
+    root = bytes((2 * n,))
     rows = []
     for a in range(n):
-        lefts = [row[:-1] + (root,) for row in _shape_parents(a)] if a else [()]
         b = n - 1 - a
-        shift = (2 * a,) * (b - 1) + (root + 2,)  # the last entry goes -1 -> root + 1
-        rights = [tuple(map(int.__add__, row, shift)) for row in _shape_parents(b)]
-        for left in lefts:
-            for right in rights:
-                rows.append(left + right + (-1,))
+        to_left, to_right = _recode(a, 0, 2 * n - 2), _recode(b, 2 * a, 2 * n - 1)
+        rights = [row.translate(to_right) for row in _shape_parents(b)]
+        for row in _shape_parents(a):
+            left = row.translate(to_left)
+            rows.extend([left + right + root for right in rights])
     return tuple(rows)
 
 
@@ -384,9 +391,10 @@ def build_preimage_trees(
     so no class link targets it.  For the slow operator, an equal-label right
     child swings to the left.  A plan made once says where each position
     hangs (a hook's slot, a class link, or the root) and whether it can swing
-    (it needs an earlier equal letter).  Each choice of class shapes is then
-    one pass over positions 1..m: a node is made from the children already
-    dropped in `hold[2p + side]` and dropped in its parent's slot.  Emitted
+    (it needs an earlier equal letter).  Each choice of class shapes (bytes
+    rows of `_shape_parents`, the root coded 2n) is then one pass over
+    positions 1..m: a node is made from the children already dropped in
+    `hold[2p + side]` and dropped in its parent's slot.  Emitted
     trees have postorder w; their in-order readings, over all configurations
     of the matching family, are exactly the preimages of w, each exactly once.
     """
@@ -411,7 +419,7 @@ def build_preimage_trees(
     if None in hang:
         raise InvariantError("a point starting no hook precedes a color class's first point")
     # slot_of[r][code]: the slot of class r's node code // 2 on side code % 2;
-    # the class root's code -1 reads the -1 at the end.
+    # the class root's code 2n reads the -1 at index 2n.
     slot_of = [[2 * ps[c >> 1] + (c & 1) for c in range(2 * len(ps))] + [-1] for ps in classes]
     slow, seen, plan = variant is SortVariant.SLOW, set(), []
     for p, (label, link) in enumerate(zip(w, hang), start=1):
@@ -430,7 +438,7 @@ def build_preimage_trees(
                 left, right = right, None
             if slot is None:
                 slot = slots[rows[r][t]]
-                if slot <= p2 + 1:  # no parent (code -1), or one placed already
+                if slot <= p2 + 1:  # no parent (code 2n), or one placed already
                     raise InvariantError(f"class-{r} tree gives {w[classes[r][t] - 1]} no parent"
                                          if slot < 0 else "attachment target should not be placed yet")
             if hold[slot] is not None:

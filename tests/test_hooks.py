@@ -276,11 +276,12 @@ def test_builder_output_and_order_are_pinned(normalized):
     assert digest.hexdigest() == "1e4cacca77e97aca0bd5142f554cc91848f1dbb087dc7f7f05267f9777ca0e06"
 
 
-# Rows for a class of three nodes, each breaking a theorem the builder checks.
+# Rows for a class of three nodes (root code 6), each breaking a theorem the
+# builder checks.
 BAD_SHAPE_ROWS = {
-    "a second root": ((-1, 4, -1), "no parent"),
-    "a parent named before its child": ((4, 0, -1), "should not be placed yet"),
-    "two children on one slot": ((4, 4, -1), "left slot already taken"),
+    "a second root": (bytes((6, 4, 6)), "no parent"),
+    "a parent named before its child": (bytes((4, 0, 6)), "should not be placed yet"),
+    "two children on one slot": (bytes((4, 4, 6)), "left slot already taken"),
 }
 
 
@@ -405,22 +406,23 @@ def _shapes(n):
                  for left in _shapes(a) for right in _shapes(n - 1 - a))
 
 
-def _parent_row(shape):
-    """2 * parent + side for each node of the shape, nodes named in postorder."""
+def _parent_row(shape, n):
+    """2 * parent + side for each node of the shape on n nodes, nodes named in
+    postorder, and 2n at the root."""
     row = []
 
     def walk(sh):  # returns the postorder name of the subtree's root
         if sh is None:
             return None
         kids = [walk(sh[0]), walk(sh[1])]
-        row.append(-1)
+        row.append(2 * n)
         for side, kid in enumerate(kids):
             if kid is not None:
                 row[kid] = 2 * (len(row) - 1) + side
         return len(row) - 1
 
     walk(shape)
-    return tuple(row)
+    return bytes(row)
 
 
 def test_shape_parent_tables_follow_shapes():
@@ -428,7 +430,20 @@ def test_shape_parent_tables_follow_shapes():
     for n in range(0, 11):
         shapes = _shapes(n)
         assert len(shapes) == catalan(n)
-        assert _shape_parents(n) == tuple(_parent_row(shape) for shape in shapes), n
+        assert _shape_parents(n) == tuple(_parent_row(shape, n) for shape in shapes), n
+    # past the oracle: Catalan(n) bytes rows of n codes, the root's 2n only last
+    for n in range(0, 13):
+        rows = _shape_parents(n)
+        assert len(rows) == catalan(n), n
+        for row in rows:
+            assert type(row) is bytes and len(row) == n, n
+            assert row.find(2 * n) == n - 1, row  # -1, not found, for n = 0
+
+
+def test_shape_parent_table_memory_is_pinned():
+    # 16,796 bytes rows for n = 10 take 0.86 MB with the table; per-row tuples took 2.15 MB
+    rows = _shape_parents(10)
+    assert sys.getsizeof(rows) + sum(map(sys.getsizeof, rows)) < 1_000_000
 
 
 def test_enumerate_vhc_limit():
